@@ -71,7 +71,7 @@ def spread(values):
 def summarise(runs, metrics):
     for workload, by_seed in sorted(runs.items()):
         print(f"== {workload}: {len(by_seed)} runs")
-        print(f"  {'metric':<18} {'median':>12} {'q1':>12} {'q3':>12} "
+        print(f"  {'metric':<22} {'median':>12} {'q1':>12} {'q3':>12} "
               f"{'spread':>8} {'bound':>6}")
         for m in metrics:
             values = [r[m["name"]] for r in by_seed.values() if m["name"] in r]
@@ -80,11 +80,11 @@ def summarise(runs, metrics):
             q1, q2, q3 = quartiles(values)
             s = spread(values)
             flag = ""
-            if m["name"] != "setup_s" and s > m["bound"]:
+            if s > m["bound"]:
                 flag = "  OVER BOUND"
             elif s > m["bound"] / 3:
                 flag = "  (> bound/3)"
-            print(f"  {m['name']:<18} {q2:12.4f} {q1:12.4f} {q3:12.4f} "
+            print(f"  {m['name']:<22} {q2:12.4f} {q1:12.4f} {q3:12.4f} "
                   f"{s:8.3f} {m['bound']:6.2f}{flag}")
 
 
@@ -116,7 +116,7 @@ def compare(parent_runs, change_runs, metrics):
         if not parent or not change:
             print("  missing on one side; nothing to compare")
             continue
-        print(f"  {'metric':<18} {'parent median [q1, q3]':>34} "
+        print(f"  {'metric':<22} {'parent median [q1, q3]':>34} "
               f"{'change median [q1, q3]':>34} {'won':>5}  verdict")
         for m in metrics:
             name = m["name"]
@@ -129,7 +129,7 @@ def compare(parent_runs, change_runs, metrics):
             won, v = verdict(m, pv, cv, pairs)
             p1, pm, p3 = quartiles(pv)
             c1, cm, c3 = quartiles(cv)
-            print(f"  {name:<18} {pm:12.4f} [{p1:9.4f}, {p3:9.4f}] "
+            print(f"  {name:<22} {pm:12.4f} [{p1:9.4f}, {p3:9.4f}] "
                   f"{cm:12.4f} [{c1:9.4f}, {c3:9.4f}] {won:5.2f}  {v}")
 
 

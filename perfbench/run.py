@@ -4,11 +4,15 @@
     python3 perfbench/run.py --workload bay --seed 1 --seconds 20 --trace 0
 
 Run it from the root of a source tree. It builds perfbench/ together with the
-stsm libraries it links into .bench_build/ (Release), pins the thread count,
-runs stbench and relays its output. The last line of standard output is the
-JSON result; the exit code is non-zero when the build fails or any output
-check fails. Traced runs (--trace 1) also write a Chrome trace-event file and
-a per-layer summary into .bench_build/out/.
+stsm libraries it links into .bench_build/ (Release) and pins the thread
+count. It then runs stbench twice, once per part of the workload (train,
+then serve), each in its own process so that each part's peak RSS is its
+own, relays their output and prints the merged result: the metrics of both
+parts, with setup_s the sum of the two parts' set-up times. The last line of
+standard output is that JSON result; the exit code is non-zero when the
+build fails, a part prints no result, or any output check fails. Traced runs
+(--trace 1) also write a Chrome trace-event file and a per-layer summary per
+part into .bench_build/out/.
 
 --record FILE appends {"workload", "seed", "trace", "result"} as one JSON
 line to FILE, which is what compare.py reads.
@@ -26,6 +30,7 @@ THREADS = "2"
 # Two malloc arenas instead of one per thread: with the default, peak RSS
 # swung 178-235 MB between runs of the city workload; with two, +-3%.
 ARENAS = "2"
+PARTS = ("train", "serve")
 
 
 def source_dir_of(cache_path):
@@ -70,6 +75,41 @@ def git_commit(root):
     return "unknown (not a git checkout)"
 
 
+def run_part(binary, args, part, env, root):
+    """Runs one part and relays its output; returns (exit code, result)."""
+    cmd = [binary, "--workload", args.workload, "--part", part,
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", str(args.trace)]
+    proc = subprocess.run(cmd, env=env, cwd=root, stdout=subprocess.PIPE,
+                          text=True)
+    lines = proc.stdout.splitlines()
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    relayed = lines[:-1] if isinstance(result, dict) else lines
+    sys.stdout.write("".join(line + "\n" for line in relayed))
+    sys.stdout.flush()
+    return proc.returncode, result if isinstance(result, dict) else None
+
+
+def merge(results):
+    """One result for the workload: both parts' counts and metrics."""
+    metrics = {}
+    for result in results:
+        for name, metric in result["metrics"].items():
+            if name in metrics:
+                # Only set-up is measured in both parts.
+                assert name == "setup_s", name
+                metric = {"value": metrics[name]["value"] + metric["value"],
+                          "unit": metric["unit"]}
+            metrics[name] = metric
+    return {"correct": all(r["correct"] for r in results),
+            "attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "metrics": metrics}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
@@ -92,27 +132,25 @@ def main():
         print("run.py: build failed", file=sys.stderr)
         return 1
 
-    out_dir = os.path.join(root, ".bench_build", "out")
-    os.makedirs(out_dir, exist_ok=True)
     env = dict(os.environ, STSM_NUM_THREADS=THREADS, MALLOC_ARENA_MAX=ARENAS,
                STBENCH_GIT_COMMIT=git_commit(root))
-    cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace),
-           "--out", out_dir]
-    proc = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True)
-    sys.stdout.write(proc.stdout)
-    sys.stdout.flush()
+    code, results = 0, []
+    for part in PARTS:
+        part_code, result = run_part(binary, args, part, env, root)
+        if result is None:
+            print(f"run.py: the {part} part printed no result "
+                  f"(exit code {part_code})", file=sys.stderr)
+            return part_code or 1
+        code = code or part_code
+        results.append(result)
+    merged = merge(results)
     if args.record:
-        lines = proc.stdout.strip().splitlines()
-        try:
-            result = json.loads(lines[-1]) if lines else None
-        except json.JSONDecodeError:
-            result = None
         with open(args.record, "a") as record:
             record.write(json.dumps({"workload": args.workload,
                                      "seed": args.seed, "trace": args.trace,
-                                     "result": result}) + "\n")
-    return proc.returncode
+                                     "result": merged}) + "\n")
+    print(json.dumps(merged))
+    return code
 
 
 if __name__ == "__main__":

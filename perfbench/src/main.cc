@@ -1,27 +1,36 @@
-// stbench: runs one benchmark workload and prints its metrics.
+// stbench: runs one part of one benchmark workload and prints its metrics.
 //
-//   stbench --workload bay|city --seed N --seconds S --trace 0|1 [--out DIR]
+//   stbench --workload bay|city --part train|serve --seed N --seconds S
+//           --trace 0|1
 //
-// A run sets up the workload (dataset, StsmRunner, both served models, the
-// registry and the listener) three times and reports the median set-up
-// time, trains once with StsmRunner::Run, then serves over loopback TCP: a
-// closed loop with one request in flight, and open-loop Poisson arrivals at
-// the workload's low, high and over rates. `--seconds` is the serving time,
-// split 25/45/10/20 % over those four phases; training is a fixed budget.
+// run.py runs the two parts of a workload as separate processes, so that
+// each part's peak RSS is its own, and merges their results.
 //
-// --trace 0 prints the end-to-end metrics. --trace 1 runs the same pipeline
-// untraced and then traced (prof counters on, benchmark-side spans), prints
-// the difference as the tracing overhead, probes every layer, writes the
-// spans as Chrome trace-event JSON plus a per-layer summary under --out, and
-// prints the per-layer metrics. The last stdout line is the JSON result; the
-// exit code is non-zero when any output check fails.
+//   train  sets up the dataset, split and StsmRunner several times and
+//          reports the median set-up time, then trains and evaluates once
+//          with StsmRunner::Run (a fixed budget).
+//   serve  sets up the dataset, split and serving stack (both served
+//          models, the registry and the listener) several times, then
+//          serves over loopback TCP for `--seconds`: a closed loop with one
+//          request in flight, and open-loop Poisson arrivals at the
+//          workload's low, high and over rates, split 25/45/10/20 % over
+//          those four phases.
+//
+// --trace 0 prints the end-to-end metrics. --trace 1 runs the part untraced
+// and then traced (prof counters on in training, spans from the
+// benchmark's own client and SubmitFn wrapper in serving), prints the
+// difference as the tracing overhead, probes every layer the part
+// exercises, writes the spans as Chrome trace-event JSON plus a per-layer
+// summary under .bench_build/out/ of the working directory, and prints the
+// per-layer metrics. The last stdout line is the JSON result; the exit code
+// is non-zero when any output check fails.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,7 +46,15 @@
 namespace stbench {
 namespace {
 
-constexpr int kSetupRepeats = 3;
+// Checkpoints, traces and per-layer summaries, relative to the working
+// directory.
+constexpr const char* kOutDir = ".bench_build/out";
+// Set-up repeats until both the minimum count and the time budget are met,
+// but at most the maximum; the median is reported. A traced run sets up
+// once: there set-up time only feeds the overhead printout.
+constexpr size_t kSetupMinRepeats = 3;
+constexpr size_t kSetupMaxRepeats = 9;
+constexpr double kSetupBudgetS = 3.0;
 constexpr int kRounds = 4;
 // Shares of --seconds: closed loop, then the low, high and over rates.
 constexpr double kSingleShare = 0.25;
@@ -54,10 +71,10 @@ constexpr double kLatenessFraction = 4.0;
 
 struct Args {
   std::string workload;
+  std::string part;
   uint64_t seed = kDefaultSeed;
   double seconds = 20.0;
   int trace = 0;
-  std::string out_dir = ".";
 };
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -66,37 +83,143 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const char* value = argv[i + 1];
     if (key == "--workload") {
       args->workload = value;
+    } else if (key == "--part") {
+      args->part = value;
     } else if (key == "--seed") {
       args->seed = std::strtoull(value, nullptr, 10);
     } else if (key == "--seconds") {
       args->seconds = std::atof(value);
     } else if (key == "--trace") {
       args->trace = std::atoi(value);
-    } else if (key == "--out") {
-      args->out_dir = value;
     } else {
       return false;
     }
   }
-  return argc % 2 == 1 && !args->workload.empty() && args->seconds > 0.0 &&
-         (args->trace == 0 || args->trace == 1);
+  return argc % 2 == 1 && !args->workload.empty() &&
+         (args->part == "train" || args->part == "serve") &&
+         args->seconds > 0.0 && (args->trace == 0 || args->trace == 1);
 }
 
-// Everything set-up builds. Members are destroyed in reverse order, so the
-// server stops before the runner and the data it references go away.
-struct Env {
+// Builds a part's state with `build`, tearing the previous state down
+// before each build, and returns each build's seconds.
+template <typename State, typename Build>
+std::vector<double> SetUp(bool once, const Build& build,
+                          std::unique_ptr<State>* state, Trace* trace) {
+  std::vector<double> seconds;
+  double total = 0.0;
+  while (seconds.empty() ||
+         (!once && (seconds.size() < kSetupMinRepeats ||
+                    (seconds.size() < kSetupMaxRepeats &&
+                     total < kSetupBudgetS)))) {
+    state->reset();
+    const Clock::time_point start = Clock::now();
+    *state = build();
+    seconds.push_back(SecondsSince(start));
+    total += seconds.back();
+    if (trace != nullptr) trace->Span("setup", "setup", start, Clock::now(), 0);
+  }
+  std::printf("set-up: %zu builds, median %.4f s\n", seconds.size(),
+              Median(seconds));
+  return seconds;
+}
+
+// ---- The train part ----
+
+// Members are destroyed in reverse order: the runner before its data.
+struct TrainEnv {
   stsm::SpatioTemporalDataset dataset;
   stsm::SpaceSplit split;
   stsm::StsmConfig config;
   std::unique_ptr<stsm::StsmRunner> runner;
-  std::unique_ptr<ServeStack> serve;
 };
 
-struct PipelineResult {
+struct TrainResult {
   std::vector<double> setup_s;
   stsm::ExperimentResult train;
-  bool train_ok = false;
-  std::string train_why;
+  bool ok = false;
+  std::string why;
+  double peak_rss_mb = 0.0;
+
+  int64_t attempted() const { return 1; }
+  int64_t failed() const { return ok ? 0 : 1; }
+  bool correct() const { return ok; }
+};
+
+// Untraced when `trace` is null. A traced run also probes every training
+// layer into `layers`, attributing shares of the untraced run's
+// train_s/eval_s.
+TrainResult RunTrain(const Workload& workload, const Args& args,
+                     Trace* trace, Report* layers,
+                     const TrainResult* untraced) {
+  TrainResult r;
+  std::unique_ptr<TrainEnv> env;
+  r.setup_s = SetUp(
+      args.trace == 1,
+      [&] {
+        auto e = std::make_unique<TrainEnv>();
+        e->dataset = MakeWorkloadDataset(workload);
+        e->split = stsm::FourSplits(e->dataset.coords)[0];
+        e->config = TrainConfig(workload, args.seed);
+        e->runner =
+            std::make_unique<stsm::StsmRunner>(e->dataset, e->split, e->config);
+        return e;
+      },
+      &env, trace);
+  const double rss_setup = PeakRssMb();
+
+  if (trace != nullptr) {
+    stsm::prof::SetEnabled(true);
+    stsm::prof::Reset();
+  }
+  const Clock::time_point train_start = Clock::now();
+  r.train = env->runner->Run();
+  stsm::prof::Snapshot counts;
+  if (trace != nullptr) {
+    counts = stsm::prof::TakeSnapshot();
+    stsm::prof::SetEnabled(false);
+    const auto train_end =
+        train_start + std::chrono::nanoseconds(static_cast<int64_t>(
+                          r.train.train_seconds * 1e9));
+    trace->Span("train", "train", train_start, train_end, 0);
+    trace->Span("evaluate", "train", train_end, Clock::now(), 0);
+  }
+  r.peak_rss_mb = PeakRssMb();
+  std::printf("peak RSS: %.1f MB after set-up, %.1f MB after training\n",
+              rss_setup, r.peak_rss_mb);
+  r.ok = CheckTraining(workload, args.seed, r.train, &r.why);
+  std::printf("training: RMSE %.17g  MAE %.17g  losses", r.train.metrics.rmse,
+              r.train.metrics.mae);
+  for (double loss : r.train.train_losses) std::printf(" %.17g", loss);
+  std::printf("\n  output check: %s %s\n", r.ok ? "ok" : "FAILED",
+              r.why.c_str());
+
+  if (trace != nullptr) {
+    ProbeTraining(env->dataset, env->split, env->config,
+                  untraced->train.train_seconds, untraced->train.test_seconds,
+                  counts, trace, layers);
+  }
+  return r;
+}
+
+void ReportTrain(const Workload&, const TrainResult& r, Report* report) {
+  report->Add("setup_s", Median(r.setup_s), "s");
+  report->Add("peak_rss_mb.train", r.peak_rss_mb, "MB");
+  report->Add("train_s", r.train.train_seconds, "s");
+  report->Add("eval_s", r.train.test_seconds, "s");
+}
+
+// ---- The serve part ----
+
+// Members are destroyed in reverse order: the server stops before the data
+// it was built from goes away.
+struct ServeEnv {
+  stsm::SpatioTemporalDataset dataset;
+  stsm::SpaceSplit split;
+  std::unique_ptr<ServeStack> stack;
+};
+
+struct ServeResult {
+  std::vector<double> setup_s;
   PhaseResult single;
   std::vector<PhaseResult> open;
   bool accounting_ok = false;
@@ -105,19 +228,18 @@ struct PipelineResult {
   // Open-loop server-side deltas.
   double batch_size_mean = 0.0;
   uint64_t read_pauses = 0;
-  stsm::prof::Snapshot counts;  // One traced Run(); traced pipelines only.
 
   int64_t attempted() const {
-    int64_t n = 1 + single.sent;  // The training run.
+    int64_t n = single.sent;
     for (const PhaseResult& p : open) n += p.sent;
-    return n;
+    return std::max<int64_t>(1, n);
   }
   int64_t failed() const {
-    int64_t n = (train_ok ? 0 : 1) + single.failures();
+    int64_t n = single.failures();
     for (const PhaseResult& p : open) n += p.failures();
     return n;
   }
-  bool correct() const { return train_ok && accounting_ok && failed() == 0; }
+  bool correct() const { return accounting_ok && failed() == 0; }
 };
 
 int GeneratorConnections() {
@@ -140,9 +262,9 @@ void PrintPhase(const PhaseResult& p) {
       static_cast<long long>(p.checked), static_cast<long long>(p.mismatches));
 }
 
-// Per-layer metrics of the serving side, from the traced pipeline's spans
-// and counters plus the direct Predict probe.
-void ReportServeLayers(const PipelineResult& r,
+// Per-layer metrics of the serving side, from the traced run's spans and
+// counters plus the direct Predict probe.
+void ReportServeLayers(const ServeResult& r,
                        const double predict_ms[kNumModels][2],
                        Report* report) {
   std::printf("serving spans (benchmark client + SubmitFn wrapper):\n");
@@ -196,56 +318,26 @@ void ReportServeLayers(const PipelineResult& r,
   report->Add("load.lateness_p99_ms", lateness, "ms");
 }
 
-// Untraced when `trace` is null. A traced pipeline also probes every layer
-// into `layers`, attributing shares of the untraced run's train_s/eval_s.
-PipelineResult RunPipeline(const Workload& workload, const Args& args,
-                           Trace* trace, Report* layers,
-                           const PipelineResult* untraced) {
-  PipelineResult r;
-  std::unique_ptr<Env> env;
-  // A traced run sets up once per pipeline: there set-up time only feeds
-  // the overhead printout, and the run has to stay inside its time limit.
-  const int setups = args.trace == 1 ? 1 : kSetupRepeats;
-  for (int i = 0; i < setups; ++i) {
-    env.reset();  // Tear the previous one down first.
-    const Clock::time_point start = Clock::now();
-    env = std::make_unique<Env>();
-    env->dataset = MakeWorkloadDataset(workload);
-    env->split = stsm::FourSplits(env->dataset.coords)[0];
-    env->config = TrainConfig(workload, args.seed);
-    env->runner = std::make_unique<stsm::StsmRunner>(env->dataset, env->split,
-                                                     env->config);
-    env->serve = std::make_unique<ServeStack>(env->dataset, env->split,
-                                              workload, args.out_dir);
-    r.setup_s.push_back(SecondsSince(start));
-    if (trace != nullptr) trace->Span("setup", "setup", start, Clock::now(), 0);
-  }
-  ServeStack& stack = *env->serve;
+// Untraced when `trace` is null. A traced run also probes Predict and
+// reports the serving layers into `layers`.
+ServeResult RunServe(const Workload& workload, const Args& args, Trace* trace,
+                     Report* layers, const ServeResult*) {
+  ServeResult r;
+  std::unique_ptr<ServeEnv> env;
+  r.setup_s = SetUp(
+      args.trace == 1,
+      [&] {
+        auto e = std::make_unique<ServeEnv>();
+        e->dataset = MakeWorkloadDataset(workload);
+        e->split = stsm::FourSplits(e->dataset.coords)[0];
+        e->stack =
+            std::make_unique<ServeStack>(e->dataset, e->split, workload, kOutDir);
+        return e;
+      },
+      &env, trace);
+  ServeStack& stack = *env->stack;
   const double rss_setup = PeakRssMb();
-
-  if (trace != nullptr) {
-    stsm::prof::SetEnabled(true);
-    stsm::prof::Reset();
-    stack.spans().set_enabled(true);
-  }
-  const Clock::time_point train_start = Clock::now();
-  r.train = env->runner->Run();
-  if (trace != nullptr) {
-    r.counts = stsm::prof::TakeSnapshot();
-    const auto train_end =
-        train_start + std::chrono::nanoseconds(static_cast<int64_t>(
-                          r.train.train_seconds * 1e9));
-    trace->Span("train", "train", train_start, train_end, 0);
-    trace->Span("evaluate", "train", train_end, Clock::now(), 0);
-  }
-  std::printf("peak RSS: %.1f MB after set-up, %.1f MB after training\n",
-              rss_setup, PeakRssMb());
-  r.train_ok = CheckTraining(workload, args.seed, r.train, &r.train_why);
-  std::printf("training: RMSE %.17g  MAE %.17g  losses", r.train.metrics.rmse,
-              r.train.metrics.mae);
-  for (double loss : r.train.train_losses) std::printf(" %.17g", loss);
-  std::printf("\n  output check: %s %s\n", r.train_ok ? "ok" : "FAILED",
-              r.train_why.c_str());
+  if (trace != nullptr) stack.spans().set_enabled(true);
 
   // The closed loop and the low and high rates run in kRounds interleaved
   // rounds and pool their samples, so host speed drift during the run
@@ -287,7 +379,7 @@ PipelineResult RunPipeline(const Workload& workload, const Args& args,
     const Clock::time_point phase_start = Clock::now();
     AppendPhase(RunClosedLoop(&stack, env->dataset, regions, args.seed,
                               args.seconds * kSingleShare / kRounds,
-                              &next_window, trace),
+                              workload.latency_limit_ms, &next_window, trace),
                 &r.single);
     if (trace != nullptr) {
       trace->Span("serve.single", "phase", phase_start, Clock::now(), 0);
@@ -345,46 +437,48 @@ PipelineResult RunPipeline(const Workload& workload, const Args& args,
 
   if (trace != nullptr) {
     stack.spans().set_enabled(false);
-    stsm::prof::SetEnabled(false);
     double predict_ms[kNumModels][2] = {};
     ProbePredict(stack, env->dataset, trace, layers, predict_ms);
     ReportServeLayers(r, predict_ms, layers);
-    ProbeTraining(env->dataset, env->split, env->config,
-                  untraced->train.train_seconds, untraced->train.test_seconds,
-                  r.counts, trace, layers);
   }
   stack.Stop();
   r.peak_rss_mb = PeakRssMb();
+  std::printf("peak RSS: %.1f MB after set-up, %.1f MB after serving\n",
+              rss_setup, r.peak_rss_mb);
   return r;
 }
 
-// Adds a phase's median latency as the metric lat_p50_ms<suffix> and prints
-// its p90 and p99 with their sample counts. Only the median is gated: on a
-// shared 4-core host whose speed drifted by up to 30% between runs, the
-// ten-run spread (quartile distance over median) of the low-rate p90 reached
-// 0.48 and of the p99s 0.25-1.5. The high rate is printed only: there
-// queueing amplifies host speed noise into spreads of 0.3-0.8 even for the
-// median.
+// Adds a phase's median latency per model as lat_p50_ms<suffix>.<model>
+// and prints its p90 and p99 with their sample counts. The two models take
+// different times per request, so a median over both would fall between two
+// clusters of samples and track neither model. Only the median is gated: on
+// a shared 4-core host whose speed drifted by up to 30% between runs, the
+// ten-run spread (quartile distance over median) of the low-rate p90
+// reached 0.48 and of the p99s 0.25-1.5. The high rate is printed only:
+// there queueing amplifies host speed noise into spreads of 0.3-0.8 even
+// for the median.
 void AddLatency(const std::string& suffix, const PhaseResult& p, bool gated,
                 Report* report) {
   const int failed = static_cast<int>(p.failures());
-  const Reported p50 = SupportedPercentile(p.latency_ms, 0.50);
-  const Reported p90 = SupportedPercentile(p.latency_ms, 0.90);
-  const Reported p99 = SupportedPercentile(p.latency_ms, 0.99);
-  if (gated) report->AddPercentile("lat_p50_ms" + suffix, p50, failed);
-  std::printf("  (%s: latency p50 %.3f, p%g %.3f, p%g %.3f ms of %zu "
-              "samples, %d failed%s)\n",
-              p.label.c_str(), p50.value, p90.q * 100.0, p90.value,
-              p99.q * 100.0, p99.value, p99.samples, failed,
-              gated ? "" : "; not gated");
+  for (int m = 0; m < kNumModels; ++m) {
+    const std::vector<double>& samples = p.model_latency_ms[m];
+    const std::string name = "lat_p50_ms" + suffix + "." + kModelTags[m];
+    const Reported p50 = SupportedPercentile(samples, 0.50);
+    const Reported p90 = SupportedPercentile(samples, 0.90);
+    const Reported p99 = SupportedPercentile(samples, 0.99);
+    if (gated) report->AddPercentile(name, p50, failed);
+    std::printf("  (%s %s: latency p50 %.3f, p%g %.3f, p%g %.3f ms of %zu "
+                "samples, %d failed in the phase%s)\n",
+                p.label.c_str(), kModelTags[m], p50.value, p90.q * 100.0,
+                p90.value, p99.q * 100.0, p99.value, p99.samples, failed,
+                gated ? "" : "; not gated");
+  }
 }
 
-void ReportEndToEnd(const Workload& workload, const PipelineResult& r,
-                    Report* report) {
+void ReportServe(const Workload& workload, const ServeResult& r,
+                 Report* report) {
   report->Add("setup_s", Median(r.setup_s), "s");
-  report->Add("peak_rss_mb", r.peak_rss_mb, "MB");
-  report->Add("train_s", r.train.train_seconds, "s");
-  report->Add("eval_s", r.train.test_seconds, "s");
+  report->Add("peak_rss_mb.serve", r.peak_rss_mb, "MB");
   AddLatency("", r.single, true, report);
   AddLatency(".low", r.open[0], true, report);
   AddLatency(".high", r.open[1], false, report);
@@ -398,28 +492,17 @@ void ReportEndToEnd(const Workload& workload, const PipelineResult& r,
               Percentile(over.latency_ms, 1.0));
 }
 
-int Main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    std::fprintf(stderr,
-                 "usage: stbench --workload bay|city --seed N --seconds S "
-                 "--trace 0|1 [--out DIR]\n");
-    return 2;
-  }
-  const Workload* workload = FindWorkload(args.workload);
-  if (workload == nullptr) {
-    std::fprintf(stderr, "unknown workload: %s\n", args.workload.c_str());
-    return 2;
-  }
-  std::printf("workload %s, seed %llu, %.1f s of serving\n", workload->name,
-              static_cast<unsigned long long>(args.seed), args.seconds);
-  PrintEnvironment();
+// ---- Both parts ----
 
+// Runs one part untraced and prints its end-to-end metrics; with --trace 1
+// runs it again traced and prints its per-layer metrics instead.
+template <typename Result, typename Run, typename ReportEndToEnd>
+int RunPart(const Workload& workload, const Args& args, const Run& run,
+            const ReportEndToEnd& report_e2e) {
   Report e2e;
   std::printf("end-to-end (untraced):\n");
-  const PipelineResult plain =
-      RunPipeline(*workload, args, nullptr, nullptr, nullptr);
-  ReportEndToEnd(*workload, plain, &e2e);
+  const Result plain = run(nullptr, nullptr, nullptr);
+  report_e2e(workload, plain, &e2e);
   if (args.trace == 0) {
     e2e.Finish(plain.correct(), plain.attempted(), plain.failed());
     return plain.correct() ? 0 : 1;
@@ -428,21 +511,18 @@ int Main(int argc, char** argv) {
   Trace trace;
   Report layers;
   std::printf("traced run:\n");
-  const PipelineResult traced =
-      RunPipeline(*workload, args, &trace, &layers, &plain);
+  const Result traced = run(&trace, &layers, &plain);
   Report traced_e2e;
   std::printf("end-to-end (traced):\n");
-  ReportEndToEnd(*workload, traced, &traced_e2e);
+  report_e2e(workload, traced, &traced_e2e);
   std::printf("tracing overhead (traced - untraced):\n");
-  for (const char* name :
-       {"setup_s", "train_s", "eval_s", "lat_p50_ms", "lat_p50_ms.low",
-        "goodput_rps.over"}) {
+  for (const std::string& name : e2e.Names()) {
     const double a = e2e.Get(name), b = traced_e2e.Get(name);
-    std::printf("  %-20s %+12.6f  (%+.1f%%)\n", name, b - a,
+    std::printf("  %-24s %+12.6f  (%+.1f%%)\n", name.c_str(), b - a,
                 a != 0.0 ? 100.0 * (b - a) / a : 0.0);
   }
-  const std::string stem = args.out_dir + "/trace_" + workload->name + "_" +
-                           std::to_string(args.seed);
+  const std::string stem = std::string(kOutDir) + "/trace_" + workload.name +
+                           "_" + args.part + "_" + std::to_string(args.seed);
   const bool written =
       trace.Write(stem + ".json") && layers.WriteSummary(stem + "_layers.json");
   std::printf("%zu spans written to %s.json, per-layer summary to "
@@ -453,6 +533,47 @@ int Main(int argc, char** argv) {
   layers.Finish(correct, plain.attempted() + traced.attempted(),
                 plain.failed() + traced.failed());
   return correct ? 0 : 1;
+}
+
+int Main(int argc, char** argv) {
+  Args args;
+  if (!ParseArgs(argc, argv, &args)) {
+    std::fprintf(stderr,
+                 "usage: stbench --workload bay|city --part train|serve "
+                 "--seed N --seconds S --trace 0|1\n");
+    return 2;
+  }
+  const Workload* workload = FindWorkload(args.workload);
+  if (workload == nullptr) {
+    std::fprintf(stderr, "unknown workload: %s\n", args.workload.c_str());
+    return 2;
+  }
+  std::error_code error;
+  std::filesystem::create_directories(kOutDir, error);
+  if (error) {
+    std::fprintf(stderr, "cannot create %s: %s\n", kOutDir,
+                 error.message().c_str());
+    return 2;
+  }
+  std::printf("workload %s, part %s, seed %llu, %.1f s of serving\n",
+              workload->name, args.part.c_str(),
+              static_cast<unsigned long long>(args.seed), args.seconds);
+  PrintEnvironment();
+
+  if (args.part == "train") {
+    return RunPart<TrainResult>(
+        *workload, args,
+        [&](Trace* trace, Report* layers, const TrainResult* untraced) {
+          return RunTrain(*workload, args, trace, layers, untraced);
+        },
+        ReportTrain);
+  }
+  return RunPart<ServeResult>(
+      *workload, args,
+      [&](Trace* trace, Report* layers, const ServeResult* untraced) {
+        return RunServe(*workload, args, trace, layers, untraced);
+      },
+      ReportServe);
 }
 
 }  // namespace

@@ -81,6 +81,12 @@ double Report::Get(const std::string& name) const {
   return 0.0;
 }
 
+std::vector<std::string> Report::Names() const {
+  std::vector<std::string> names;
+  for (const Metric& m : metrics_) names.push_back(m.name);
+  return names;
+}
+
 std::string Report::MetricsJson() const {
   std::string json = "{";
   char buffer[128];

@@ -50,6 +50,8 @@ class Report {
                      int failures);
   // The value of `name` (0 when absent).
   double Get(const std::string& name) const;
+  // Metric names in the order they were added.
+  std::vector<std::string> Names() const;
 
   // Writes {"name": {"value": v, "unit": u}, ...} to `path`.
   bool WriteSummary(const std::string& path) const;

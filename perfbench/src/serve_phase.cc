@@ -48,11 +48,12 @@ std::vector<float> WindowAt(const stsm::SeriesMatrix& series, int start,
 }
 
 net::RequestFrame MakeFrame(uint64_t id, int model, int start,
+                            double latency_limit_ms,
                             const stsm::SpatioTemporalDataset& dataset,
                             const std::vector<int>& regions, int t) {
   net::RequestFrame frame;
   frame.id = id;
-  frame.deadline_ms = kDeadlineBaseMs + static_cast<uint32_t>(id % kTagModulo);
+  frame.deadline_ms = static_cast<uint32_t>(latency_limit_ms);
   frame.request.model = ModelName(model);
   frame.request.window = WindowAt(dataset.series, start, t);
   frame.request.regions = regions;
@@ -126,33 +127,34 @@ void CountStatus(const serve::ForecastResponse& response, PhaseResult* out) {
 struct ClientRecord {
   uint64_t id;
   int model;
+  int start;
   int lane;  // Trace tid.
   Clock::time_point send;
   Clock::time_point read;
   int batch_size;
 };
 
-// Joins client records with the wrapper's submit/done records by tag: the
-// first unused record of the same tag submitted at or after the send.
+// Joins client records with the wrapper's submit/done records by SpanKey:
+// the first unused record of the same key submitted at or after the send.
 void MatchSpans(std::vector<SubmitSpans::Record> records,
                 std::vector<ClientRecord> client, Trace* trace,
                 PhaseResult* out) {
   std::sort(client.begin(), client.end(),
             [](const auto& a, const auto& b) { return a.send < b.send; });
-  std::unordered_map<int, std::vector<SubmitSpans::Record>> by_tag;
-  for (const SubmitSpans::Record& r : records) by_tag[r.tag].push_back(r);
-  for (auto& [tag, list] : by_tag) {
+  std::unordered_map<int, std::vector<SubmitSpans::Record>> by_key;
+  for (const SubmitSpans::Record& r : records) by_key[r.key].push_back(r);
+  for (auto& [key, list] : by_key) {
     std::sort(list.begin(), list.end(),
               [](const auto& a, const auto& b) { return a.submit < b.submit; });
   }
-  std::unordered_map<int, size_t> next;  // Per tag: first unused record.
+  std::unordered_map<int, size_t> next;  // Per key: first unused record.
   for (const ClientRecord& c : client) {
-    const int tag = static_cast<int>(c.id % kTagModulo);
-    auto it = by_tag.find(tag);
+    const int key = SpanKey(c.model, c.start);
+    auto it = by_key.find(key);
     bool matched = false;
-    if (it != by_tag.end()) {
+    if (it != by_key.end()) {
       std::vector<SubmitSpans::Record>& list = it->second;
-      for (size_t i = next[tag]; i < list.size(); ++i) {
+      for (size_t i = next[key]; i < list.size(); ++i) {
         if (list[i].submit >= c.send && list[i].done <= c.read) {
           const SubmitSpans::Record& r = list[i];
           out->spans.push_back({MsBetween(c.send, r.submit),
@@ -166,7 +168,7 @@ void MatchSpans(std::vector<SubmitSpans::Record> records,
                         c.id);
             trace->Span("net.egress", "net", r.done, c.read, c.lane, c.id);
           }
-          next[tag] = i + 1;
+          next[key] = i + 1;
           matched = true;
           break;
         }
@@ -201,6 +203,9 @@ void AppendPhase(const PhaseResult& part, PhaseResult* into) {
     std::sort(to->begin(), to->end());
   };
   merge(part.latency_ms, &into->latency_ms);
+  for (int m = 0; m < kNumModels; ++m) {
+    merge(part.model_latency_ms[m], &into->model_latency_ms[m]);
+  }
   merge(part.lateness_ms, &into->lateness_ms);
   into->spans.insert(into->spans.end(), part.spans.begin(), part.spans.end());
 }
@@ -258,20 +263,13 @@ ServeStack::ServeStack(const stsm::SpatioTemporalDataset& dataset,
           return;
         }
         const Clock::time_point submit = Clock::now();
-        // The ingress set deadline = decode time + deadline_ms just before
-        // this call, so rounding the remaining time up recovers deadline_ms.
-        const int64_t remaining_us =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                request.deadline - submit)
-                .count();
-        const int tag =
-            static_cast<int>((remaining_us + 999) / 1000) -
-            static_cast<int>(kDeadlineBaseMs);
+        const int key = SpanKey(request.model == ModelName(0) ? 0 : 1,
+                                request.start_step);
         sharded->SubmitAsync(
             std::move(request),
-            [spans, tag, submit, done = std::move(done)](
+            [spans, key, submit, done = std::move(done)](
                 serve::ForecastResponse response) {
-              spans->Add({tag, submit, Clock::now()});
+              spans->Add({key, submit, Clock::now()});
               done(std::move(response));
             });
       },
@@ -316,7 +314,8 @@ serve::ServerStats ServeStack::TotalStats() const {
 PhaseResult RunClosedLoop(ServeStack* stack,
                           const stsm::SpatioTemporalDataset& dataset,
                           const std::vector<int>& regions, uint64_t seed,
-                          double seconds, size_t* next_window, Trace* trace) {
+                          double seconds, double latency_limit_ms,
+                          size_t* next_window, Trace* trace) {
   PhaseResult out;
   out.label = "single";
   out.seconds = seconds;
@@ -344,7 +343,8 @@ PhaseResult RunClosedLoop(ServeStack* stack,
   for (; i < order.size() * kNumModels && Clock::now() < end; ++i) {
     const int model = static_cast<int>(i % kNumModels);
     const net::RequestFrame frame =
-        MakeFrame(i + 1, model, start_of(i), dataset, regions, t);
+        MakeFrame(i + 1, model, start_of(i), latency_limit_ms, dataset,
+                  regions, t);
     const Clock::time_point send = Clock::now();
     ++out.sent;
     net::ResponseFrame response;
@@ -361,16 +361,20 @@ PhaseResult RunClosedLoop(ServeStack* stack,
     CountStatus(response.response, &out);
     if (response.response.status == serve::Status::kOk) {
       out.latency_ms.push_back(MsBetween(send, read));
+      out.model_latency_ms[model].push_back(out.latency_ms.back());
       if (i % kCheckEvery == 0) {
         samples.emplace_back(i, std::move(response.response.forecast));
       }
     }
-    records.push_back({frame.id, model, 1, send, read,
+    records.push_back({frame.id, model, start_of(i), 1, send, read,
                        response.response.batch_size});
   }
   *next_window = i;
   client.Close();
   std::sort(out.latency_ms.begin(), out.latency_ms.end());
+  for (std::vector<double>& v : out.model_latency_ms) {
+    std::sort(v.begin(), v.end());
+  }
   for (const auto& [i, forecast] : samples) {
     const int model = static_cast<int>(i % kNumModels);
     ++out.checked;
@@ -482,7 +486,8 @@ PhaseResult RunOpenLoop(ServeStack* stack,
                               static_cast<int64_t>(p.due_s * 1e9));
         std::this_thread::sleep_until(due);
         const net::RequestFrame frame =
-            MakeFrame(id_of(c, k), p.model, p.start, dataset, regions, t);
+            MakeFrame(id_of(c, k), p.model, p.start, latency_limit_ms,
+                      dataset, regions, t);
         const Clock::time_point now = Clock::now();
         lane->sent_at[k] = now;
         lane->lateness_ms[k] = MsBetween(due, now);
@@ -544,6 +549,7 @@ PhaseResult RunOpenLoop(ServeStack* stack,
                             static_cast<int64_t>(lane.plan[k].due_s * 1e9));
       const double latency = MsBetween(due, lane.read_at[k]);
       out.latency_ms.push_back(latency);
+      out.model_latency_ms[lane.plan[k].model].push_back(latency);
       if (latency <= latency_limit_ms) ++out.good;
       if (k % kCheckEvery == 0) {
         ++out.checked;
@@ -554,12 +560,15 @@ PhaseResult RunOpenLoop(ServeStack* stack,
           ++out.mismatches;
         }
       }
-      records.push_back({id_of(c, k), lane.plan[k].model, 1 + c,
-                         lane.sent_at[k], lane.read_at[k],
+      records.push_back({id_of(c, k), lane.plan[k].model, lane.plan[k].start,
+                         1 + c, lane.sent_at[k], lane.read_at[k],
                          lane.batch_size[k]});
     }
   }
   std::sort(out.latency_ms.begin(), out.latency_ms.end());
+  for (std::vector<double>& v : out.model_latency_ms) {
+    std::sort(v.begin(), v.end());
+  }
   std::sort(out.lateness_ms.begin(), out.lateness_ms.end());
   if (stack->spans().enabled()) {
     MatchSpans(stack->spans().Take(), records, trace, &out);
@@ -571,7 +580,6 @@ void ProbePredict(const ServeStack& stack,
                   const stsm::SpatioTemporalDataset& dataset, Trace* trace,
                   Report* report, double predict_f32_ms[kNumModels][2]) {
   std::printf("direct ServedModel::Predict (median ms per call):\n");
-  const char* model_tags[kNumModels] = {"tcn", "trans"};
   const int batches[2] = {1, 8};
   for (int m = 0; m < kNumModels; ++m) {
     for (stsm::DType dtype : {stsm::DType::kF32, stsm::DType::kBf16}) {
@@ -606,7 +614,7 @@ void ProbePredict(const ServeStack& stack,
                     features.data() + static_cast<size_t>(i) * t * 3);
         }
         const std::string name = std::string("core.predict_ms.") +
-                                 model_tags[m] + ".b" + std::to_string(b) +
+                                 kModelTags[m] + ".b" + std::to_string(b) +
                                  "." + stsm::DTypeName(dtype);
         const double ms = TimeCalls(name, trace, [&] {
           model->Predict(inputs, features);

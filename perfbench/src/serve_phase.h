@@ -24,15 +24,21 @@
 namespace stbench {
 
 constexpr int kNumModels = 2;  // 0: "stsm" (TCN), 1: "stsm-trans".
+// Metric-name tags of the two models.
+constexpr const char* kModelTags[kNumModels] = {"tcn", "trans"};
+
+// The key that joins a client request with the SubmitFn wrapper's record
+// of it. The request's wire id is not passed to a SubmitFn, but its model
+// and start step are; requests with equal keys are told apart by time.
+inline int SpanKey(int model, int start_step) {
+  return start_step * kNumModels + model;
+}
 
 // Submit and completion times seen by the benchmark's own SubmitFn wrapper.
-// The request's wire id is not passed to a SubmitFn, so the client encodes
-// id % kTagModulo in the deadline (deadline_ms = kDeadlineBaseMs + tag) and
-// the wrapper recovers it from the remaining time.
 class SubmitSpans {
  public:
   struct Record {
-    int tag;
+    int key;  // SpanKey of the request.
     Clock::time_point submit;
     Clock::time_point done;
   };
@@ -46,9 +52,6 @@ class SubmitSpans {
   std::mutex mutex_;
   std::vector<Record> records_;
 };
-
-constexpr uint32_t kDeadlineBaseMs = 1000;
-constexpr uint64_t kTagModulo = 1000;
 
 class ServeStack {
  public:
@@ -115,6 +118,8 @@ struct PhaseResult {
   int64_t mismatches = 0;  // ...that differed beyond the tolerance.
   int64_t good = 0;        // OK responses within the latency limit.
   std::vector<double> latency_ms;   // OK responses, ascending.
+  // The same samples split by model, each ascending.
+  std::vector<double> model_latency_ms[kNumModels];
   std::vector<double> lateness_ms;  // Open loop: send - due, ascending.
   std::vector<RequestSpans> spans;  // Traced runs only.
   int64_t unmatched_spans = 0;
@@ -127,6 +132,11 @@ struct PhaseResult {
 // Adds `part`'s counts and samples (kept ascending) to `into`.
 void AppendPhase(const PhaseResult& part, PhaseResult* into);
 
+// Every request, in both loops, asks for an answer within the workload's
+// latency limit: its deadline_ms is the limit, so the server degrades a
+// request it picks up after that (an answer that late would not count as
+// good anyway) instead of spending model time on it.
+
 // One connection, one request in flight, alternating models, for `seconds`.
 // Windows follow one seeded permutation from *next_window on, which is
 // advanced past the windows used, so windows never repeat across calls
@@ -134,11 +144,13 @@ void AppendPhase(const PhaseResult& part, PhaseResult* into);
 PhaseResult RunClosedLoop(ServeStack* stack,
                           const stsm::SpatioTemporalDataset& dataset,
                           const std::vector<int>& regions, uint64_t seed,
-                          double seconds, size_t* next_window, Trace* trace);
+                          double seconds, double latency_limit_ms,
+                          size_t* next_window, Trace* trace);
 
 // Poisson arrivals at `rate` split over `connections` seeded streams, for
 // `seconds` of schedule. Half the requests go to each model; kHotShare of
 // them re-ask one of kHotWindows windows so the cache sees hits and inserts.
+// `good` counts OK responses within `latency_limit_ms` of their due time.
 PhaseResult RunOpenLoop(ServeStack* stack,
                         const stsm::SpatioTemporalDataset& dataset,
                         const std::vector<int>& regions,

@@ -1,6 +1,6 @@
-// The benchmark's workloads. Each one trains STSM on one graph and then
-// serves the TCN and transformer models built for that graph over loopback
-// TCP, so every end-to-end metric is measured on every workload:
+// The benchmark's workloads. Each one trains STSM on one graph and serves
+// the TCN and transformer models built for that graph over loopback TCP,
+// so every end-to-end metric is measured on every workload:
 //
 //   bay  - bay-sim at fast data scale (84 nodes), dense adjacency, 14 epochs.
 //          Dense GEMM and autograd dominate training; DTW is a few percent.
@@ -16,8 +16,12 @@
 // act). The rates are absolute: bay 0.2x / 0.45x / 1.3x of its measured
 // capacity (~425 rps on a 4-core x86 host), city 0.25x / 0.45x / 2.6x of
 // ~50 rps, whose over rate is higher so its queues fill within the phase.
-// Changing them changes the benchmark. City's goodput limit is larger
-// because one batched forward of its models takes ~300 ms.
+// Changing them changes the benchmark. Each goodput limit sits above the
+// latency accepted requests see at the over rate (bay up to ~0.8 s; city up
+// to ~4 s, where one batched forward takes ~300 ms and the queues hold
+// several batches), so goodput follows the rate of useful answers rather
+// than where the latency distribution crosses the limit. Requests also
+// carry the limit as their deadline.
 
 #ifndef STBENCH_WORKLOAD_H_
 #define STBENCH_WORKLOAD_H_
@@ -38,7 +42,8 @@ struct Workload {
   double rate_low;
   double rate_high;
   double rate_over;
-  // Goodput counts OK responses within this many ms of their due time.
+  // Goodput counts OK responses within this many ms of their due time;
+  // every request's deadline_ms.
   double latency_limit_ms;
 };
 
