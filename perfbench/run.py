@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Runs one workload of the repository's benchmark (see BENCHMARK.json).
 
-    python3 perfbench/run.py --workload bay --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload bay --seed 1 --seconds 18 --trace 0
 
 Run it from the root of a source tree. It builds perfbench/ together with the
 stsm libraries it links into .bench_build/ (Release) and pins the thread
@@ -114,7 +114,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--record", help="append the result to this file")
     args = parser.parse_args()

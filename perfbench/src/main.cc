@@ -8,12 +8,13 @@
 //
 //   train  sets up the dataset, split and StsmRunner several times and
 //          reports the median set-up time, then trains and evaluates once
-//          with StsmRunner::Run (a fixed budget).
+//          with StsmRunner::Run (a fixed budget), then evaluates at least
+//          twice more with untrained runners; eval_s is the median.
 //   serve  sets up the dataset, split and serving stack (both served
 //          models, the registry and the listener) several times, then
 //          serves over loopback TCP for `--seconds`: a closed loop with one
 //          request in flight, and open-loop Poisson arrivals at the
-//          workload's low, high and over rates, split 25/45/10/20 % over
+//          workload's low, high and over rates, split 20/55/5/20 % over
 //          those four phases.
 //
 // --trace 0 prints the end-to-end metrics. --trace 1 runs the part untraced
@@ -49,16 +50,28 @@ namespace {
 // Checkpoints, traces and per-layer summaries, relative to the working
 // directory.
 constexpr const char* kOutDir = ".bench_build/out";
-// Set-up repeats until both the minimum count and the time budget are met,
-// but at most the maximum; the median is reported. A traced run sets up
-// once: there set-up time only feeds the overhead printout.
-constexpr size_t kSetupMinRepeats = 3;
-constexpr size_t kSetupMaxRepeats = 9;
-constexpr double kSetupBudgetS = 3.0;
+// Set-up and evaluation repeat until both the minimum count and the time
+// budget are met, but at most the maximum; the median is reported. A traced
+// run does each once: there they only feed the overhead printout. The
+// budgets are short because a city set-up (~5 s) or evaluation (~4.5 s)
+// alone already exceeds them, and each repeat lengthens every run.
+struct Repeats {
+  size_t min_count;
+  size_t max_count;
+  double budget_s;
+};
+constexpr Repeats kSetupRepeats = {3, 9, 1.0};
+// eval_s is the median of the trained runner's evaluation and those of
+// fresh runners given no training epochs, whose evaluation does the same
+// work (the full-graph DTW and the forwards do not depend on the weights'
+// values). One evaluation alone spread by a third between runs.
+constexpr Repeats kEvalRepeats = {3, 7, 1.5};
 constexpr int kRounds = 4;
 // Shares of --seconds: closed loop, then the low, high and over rates.
-constexpr double kSingleShare = 0.25;
-constexpr double kOpenShares[3] = {0.45, 0.10, 0.20};
+// The low rate has the largest share: its median is gated and its samples
+// are the sparsest; the high rate is printed only.
+constexpr double kSingleShare = 0.20;
+constexpr double kOpenShares[3] = {0.55, 0.05, 0.20};
 constexpr const char* kOpenLabels[3] = {"low", "high", "over"};
 // A phase is flagged invalid when the generator's p99 lateness exceeds this
 // multiple of the mean gap between arrivals on one connection. Past
@@ -73,7 +86,7 @@ struct Args {
   std::string workload;
   std::string part;
   uint64_t seed = kDefaultSeed;
-  double seconds = 20.0;
+  double seconds = 18.0;
   int trace = 0;
 };
 
@@ -100,24 +113,38 @@ bool ParseArgs(int argc, char** argv, Args* args) {
          args->seconds > 0.0 && (args->trace == 0 || args->trace == 1);
 }
 
+// Appends the seconds of calls to `timed` to `seconds` as `repeats` asks,
+// or until there is one sample when `once`.
+template <typename Timed>
+void Repeat(bool once, const Repeats& repeats, const Timed& timed,
+            std::vector<double>* seconds) {
+  double total = 0.0;
+  for (double s : *seconds) total += s;
+  while (seconds->empty() ||
+         (!once && (seconds->size() < repeats.min_count ||
+                    (seconds->size() < repeats.max_count &&
+                     total < repeats.budget_s)))) {
+    seconds->push_back(timed());
+    total += seconds->back();
+  }
+}
+
 // Builds a part's state with `build`, tearing the previous state down
 // before each build, and returns each build's seconds.
 template <typename State, typename Build>
 std::vector<double> SetUp(bool once, const Build& build,
                           std::unique_ptr<State>* state, Trace* trace) {
   std::vector<double> seconds;
-  double total = 0.0;
-  while (seconds.empty() ||
-         (!once && (seconds.size() < kSetupMinRepeats ||
-                    (seconds.size() < kSetupMaxRepeats &&
-                     total < kSetupBudgetS)))) {
-    state->reset();
-    const Clock::time_point start = Clock::now();
-    *state = build();
-    seconds.push_back(SecondsSince(start));
-    total += seconds.back();
-    if (trace != nullptr) trace->Span("setup", "setup", start, Clock::now(), 0);
-  }
+  Repeat(once, kSetupRepeats,
+         [&] {
+           state->reset();
+           const Clock::time_point start = Clock::now();
+           *state = build();
+           const Clock::time_point end = Clock::now();
+           if (trace != nullptr) trace->Span("setup", "setup", start, end, 0);
+           return MsBetween(start, end) / 1e3;
+         },
+         &seconds);
   std::printf("set-up: %zu builds, median %.4f s\n", seconds.size(),
               Median(seconds));
   return seconds;
@@ -136,6 +163,7 @@ struct TrainEnv {
 struct TrainResult {
   std::vector<double> setup_s;
   stsm::ExperimentResult train;
+  std::vector<double> eval_s;
   bool ok = false;
   std::string why;
   double peak_rss_mb = 0.0;
@@ -186,6 +214,19 @@ TrainResult RunTrain(const Workload& workload, const Args& args,
   r.peak_rss_mb = PeakRssMb();
   std::printf("peak RSS: %.1f MB after set-up, %.1f MB after training\n",
               rss_setup, r.peak_rss_mb);
+  r.eval_s.push_back(r.train.test_seconds);
+  stsm::StsmConfig eval_only = env->config;
+  eval_only.epochs = 0;
+  Repeat(args.trace == 1, kEvalRepeats,
+         [&] {
+           stsm::StsmRunner runner(env->dataset, env->split, eval_only);
+           return runner.Run().test_seconds;
+         },
+         &r.eval_s);
+  std::printf("evaluation: %zu runs, median %.4f s:", r.eval_s.size(),
+              Median(r.eval_s));
+  for (double s : r.eval_s) std::printf(" %.4f", s);
+  std::printf("\n");
   r.ok = CheckTraining(workload, args.seed, r.train, &r.why);
   std::printf("training: RMSE %.17g  MAE %.17g  losses", r.train.metrics.rmse,
               r.train.metrics.mae);
@@ -195,7 +236,7 @@ TrainResult RunTrain(const Workload& workload, const Args& args,
 
   if (trace != nullptr) {
     ProbeTraining(env->dataset, env->split, env->config,
-                  untraced->train.train_seconds, untraced->train.test_seconds,
+                  untraced->train.train_seconds, Median(untraced->eval_s),
                   counts, trace, layers);
   }
   return r;
@@ -205,7 +246,7 @@ void ReportTrain(const Workload&, const TrainResult& r, Report* report) {
   report->Add("setup_s", Median(r.setup_s), "s");
   report->Add("peak_rss_mb.train", r.peak_rss_mb, "MB");
   report->Add("train_s", r.train.train_seconds, "s");
-  report->Add("eval_s", r.train.test_seconds, "s");
+  report->Add("eval_s", Median(r.eval_s), "s");
 }
 
 // ---- The serve part ----
@@ -449,7 +490,8 @@ ServeResult RunServe(const Workload& workload, const Args& args, Trace* trace,
 }
 
 // Adds a phase's median latency per model as lat_p50_ms<suffix>.<model>
-// and prints its p90 and p99 with their sample counts. The two models take
+// and prints its p90 and p99 with their sample counts. Only model-served
+// answers count (see PhaseResult::model_latency_ms). The two models take
 // different times per request, so a median over both would fall between two
 // clusters of samples and track neither model. Only the median is gated: on
 // a shared 4-core host whose speed drifted by up to 30% between runs, the
@@ -467,8 +509,8 @@ void AddLatency(const std::string& suffix, const PhaseResult& p, bool gated,
     const Reported p90 = SupportedPercentile(samples, 0.90);
     const Reported p99 = SupportedPercentile(samples, 0.99);
     if (gated) report->AddPercentile(name, p50, failed);
-    std::printf("  (%s %s: latency p50 %.3f, p%g %.3f, p%g %.3f ms of %zu "
-                "samples, %d failed in the phase%s)\n",
+    std::printf("  (%s %s: model-served latency p50 %.3f, p%g %.3f, p%g "
+                "%.3f ms of %zu samples, %d failed in the phase%s)\n",
                 p.label.c_str(), kModelTags[m], p50.value, p90.q * 100.0,
                 p90.value, p99.q * 100.0, p99.value, p99.samples, failed,
                 gated ? "" : "; not gated");

@@ -361,7 +361,9 @@ PhaseResult RunClosedLoop(ServeStack* stack,
     CountStatus(response.response, &out);
     if (response.response.status == serve::Status::kOk) {
       out.latency_ms.push_back(MsBetween(send, read));
-      out.model_latency_ms[model].push_back(out.latency_ms.back());
+      if (!response.response.cache_hit) {
+        out.model_latency_ms[model].push_back(out.latency_ms.back());
+      }
       if (i % kCheckEvery == 0) {
         samples.emplace_back(i, std::move(response.response.forecast));
       }
@@ -549,7 +551,9 @@ PhaseResult RunOpenLoop(ServeStack* stack,
                             static_cast<int64_t>(lane.plan[k].due_s * 1e9));
       const double latency = MsBetween(due, lane.read_at[k]);
       out.latency_ms.push_back(latency);
-      out.model_latency_ms[lane.plan[k].model].push_back(latency);
+      if (!response.cache_hit) {
+        out.model_latency_ms[lane.plan[k].model].push_back(latency);
+      }
       if (latency <= latency_limit_ms) ++out.good;
       if (k % kCheckEvery == 0) {
         ++out.checked;

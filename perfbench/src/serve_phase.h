@@ -118,7 +118,10 @@ struct PhaseResult {
   int64_t mismatches = 0;  // ...that differed beyond the tolerance.
   int64_t good = 0;        // OK responses within the latency limit.
   std::vector<double> latency_ms;   // OK responses, ascending.
-  // The same samples split by model, each ascending.
+  // The model-served ones (cache hits excluded) split by model, each
+  // ascending: what the gated medians read. A cache hit answers in under a
+  // millisecond, and how many there are depends on the seed's draws of hot
+  // windows, so counting them moved the median from run to run.
   std::vector<double> model_latency_ms[kNumModels];
   std::vector<double> lateness_ms;  // Open loop: send - due, ascending.
   std::vector<RequestSpans> spans;  // Traced runs only.

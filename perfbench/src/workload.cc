@@ -7,8 +7,8 @@ namespace stbench {
 namespace {
 
 constexpr Workload kWorkloads[] = {
-    {"bay", /*sparse=*/false, /*epochs=*/14, 85.0, 190.0, 550.0, 1000.0},
-    {"city", /*sparse=*/true, /*epochs=*/3, 12.0, 22.0, 130.0, 6000.0},
+    {"bay", /*sparse=*/false, /*epochs=*/14, 25.0, 190.0, 550.0, 1000.0},
+    {"city", /*sparse=*/true, /*epochs=*/3, 5.0, 22.0, 130.0, 6000.0},
 };
 
 }  // namespace

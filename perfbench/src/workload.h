@@ -13,15 +13,23 @@
 // Serving runs the same phases on both: a closed loop with one request in
 // flight, then open-loop arrivals at `low` (no queueing), `high` (queueing
 // starts to show) and `over` (past capacity, so backpressure and goodput
-// act). The rates are absolute: bay 0.2x / 0.45x / 1.3x of its measured
-// capacity (~425 rps on a 4-core x86 host), city 0.25x / 0.45x / 2.6x of
+// act). The rates are absolute: bay 0.06x / 0.45x / 1.3x of its measured
+// capacity (~425 rps on a 4-core x86 host), city 0.1x / 0.45x / 2.6x of
 // ~50 rps, whose over rate is higher so its queues fill within the phase.
-// Changing them changes the benchmark. Each goodput limit sits above the
-// latency accepted requests see at the over rate (bay up to ~0.8 s; city up
-// to ~4 s, where one batched forward takes ~300 ms and the queues hold
-// several batches), so goodput follows the rate of useful answers rather
-// than where the latency distribution crosses the limit. Requests also
-// carry the limit as their deadline.
+// Both low rates keep a single request's service busy about 30% of the
+// time (bay ~12 ms x 25 rps, city ~55 ms x 5 rps). A request holds both
+// intra-op threads, and once about half the requests overlap another, the
+// median jumps from the unqueued latency to the queued one, so a host
+// slowdown moves it by up to 2x. On a contended 4-core host the low-rate
+// median read 1.10-1.95x the closed-loop one on bay at 85 rps (20 runs),
+// 1.02-1.62x on city at 12 and 8 rps (40 runs), and 0.95-1.37x on city at
+// 5 rps (20 runs). Changing the rates changes
+// the benchmark. Each goodput limit sits above the latency accepted
+// requests see at the over rate (bay up to ~0.8 s; city up to ~4 s, where
+// one batched forward takes ~300 ms and the queues hold several batches),
+// so goodput follows the rate of useful answers rather than where the
+// latency distribution crosses the limit. Requests also carry the limit as
+// their deadline.
 
 #ifndef STBENCH_WORKLOAD_H_
 #define STBENCH_WORKLOAD_H_
