@@ -357,6 +357,14 @@ void BM_SpmmCity(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmmCity)->Arg(10000);
 
+void BM_SpmmCityScalar(benchmark::State& state) {
+  // Same pass through the scalar CSR loops; BM_SpmmCityScalar / BM_SpmmCity
+  // is the vector gather's speedup ("spmm.simd_vs_scalar").
+  ScalarDispatchScope scalar_only;
+  BM_SpmmCity(state);
+}
+BENCHMARK(BM_SpmmCityScalar)->Arg(10000);
+
 void BM_DenseSpmmCity(benchmark::State& state) {
   const int nodes = static_cast<int>(state.range(0));
   const Tensor dense = CityAdjacency(nodes).ToDense();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -345,40 +344,11 @@ std::string Snapshot::ToJson() const {
   return out.str();
 }
 
-std::string Snapshot::ToCsv() const {
-  std::ostringstream out;
-  out << "kind,name,count,total_ns,min_ns,max_ns,mean_ns,p50_ns,p95_ns,"
-         "p99_ns\n";
-  for (const StatSnapshot& s : timers) {
-    out << "timer," << s.name << "," << s.count << "," << s.total_ns << ","
-        << s.min_ns << "," << s.max_ns << "," << s.MeanNs() << ","
-        << s.PercentileNs(0.5) << "," << s.PercentileNs(0.95) << ","
-        << s.PercentileNs(0.99) << "\n";
-  }
-  for (const StatSnapshot& s : counters) {
-    out << "counter," << s.name << "," << s.count << "," << s.total_ns
-        << ",,,,,,\n";
-  }
-  return out.str();
-}
-
-namespace {
-
-bool WriteFile(const std::string& path, const std::string& contents) {
+bool Snapshot::WriteJson(const std::string& path) const {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << contents;
+  out << ToJson();
   return static_cast<bool>(out);
-}
-
-}  // namespace
-
-bool Snapshot::WriteJson(const std::string& path) const {
-  return WriteFile(path, ToJson());
-}
-
-bool Snapshot::WriteCsv(const std::string& path) const {
-  return WriteFile(path, ToCsv());
 }
 
 Snapshot TakeSnapshot() {
@@ -391,166 +361,6 @@ Snapshot TakeSnapshot() {
 }
 
 void Reset() { Registry::Get().Reset(); }
-
-// ---- JSON parsing (round-trip of Snapshot::ToJson) --------------------------
-
-namespace {
-
-// Minimal recursive-descent parser for the JSON subset ToJson() emits.
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(Snapshot* out) {
-    SkipWs();
-    if (!Consume('{')) return false;
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipWs();
-      if (!Consume(':')) return false;
-      std::vector<StatSnapshot>* target =
-          key == "timers" ? &out->timers
-                          : (key == "counters" ? &out->counters : nullptr);
-      if (target == nullptr) return false;
-      if (!ParseStatArray(target)) return false;
-      SkipWs();
-      if (Consume(',')) continue;
-      break;
-    }
-    SkipWs();
-    return Consume('}');
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() && std::isspace(
-                                      static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      out->push_back(text_[pos_++]);
-    }
-    return Consume('"');
-  }
-
-  bool ParseNumber(double* out) {
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == '-' || text_[pos_] == '+' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    *out = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
-    return true;
-  }
-
-  bool ParseUint(uint64_t* out) {
-    double value = 0.0;
-    if (!ParseNumber(&value)) return false;
-    *out = static_cast<uint64_t>(value + 0.5);
-    return true;
-  }
-
-  bool ParseBucketArray(std::array<uint64_t, kNumBuckets>* out) {
-    out->fill(0);
-    SkipWs();
-    if (!Consume('[')) return false;
-    SkipWs();
-    if (Consume(']')) return true;
-    int i = 0;
-    while (true) {
-      if (i >= kNumBuckets) return false;
-      SkipWs();
-      if (!ParseUint(&(*out)[i++])) return false;
-      SkipWs();
-      if (Consume(',')) continue;
-      break;
-    }
-    return Consume(']');
-  }
-
-  bool ParseStat(StatSnapshot* out) {
-    SkipWs();
-    if (!Consume('{')) return false;
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipWs();
-      if (!Consume(':')) return false;
-      SkipWs();
-      bool ok = true;
-      if (key == "name") {
-        ok = ParseString(&out->name);
-      } else if (key == "count") {
-        ok = ParseUint(&out->count);
-      } else if (key == "total_ns") {
-        ok = ParseUint(&out->total_ns);
-      } else if (key == "min_ns") {
-        ok = ParseUint(&out->min_ns);
-      } else if (key == "max_ns") {
-        ok = ParseUint(&out->max_ns);
-      } else if (key == "buckets") {
-        ok = ParseBucketArray(&out->buckets);
-      } else {
-        // Derived fields (mean/p50/...): parse and discard.
-        double ignored = 0.0;
-        ok = ParseNumber(&ignored);
-      }
-      if (!ok) return false;
-      SkipWs();
-      if (Consume(',')) continue;
-      break;
-    }
-    return Consume('}');
-  }
-
-  bool ParseStatArray(std::vector<StatSnapshot>* out) {
-    out->clear();
-    SkipWs();
-    if (!Consume('[')) return false;
-    SkipWs();
-    if (Consume(']')) return true;
-    while (true) {
-      StatSnapshot stat;
-      if (!ParseStat(&stat)) return false;
-      out->push_back(std::move(stat));
-      SkipWs();
-      if (Consume(',')) continue;
-      break;
-    }
-    SkipWs();
-    return Consume(']');
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-}  // namespace
-
-bool SnapshotFromJson(const std::string& json, Snapshot* out) {
-  out->timers.clear();
-  out->counters.clear();
-  return JsonParser(json).Parse(out);
-}
 
 }  // namespace prof
 }  // namespace stsm

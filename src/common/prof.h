@@ -112,9 +112,7 @@ struct Snapshot {
   const StatSnapshot* FindCounter(const std::string& name) const;
 
   std::string ToJson() const;
-  std::string ToCsv() const;
   bool WriteJson(const std::string& path) const;
-  bool WriteCsv(const std::string& path) const;
 };
 
 Snapshot TakeSnapshot();
@@ -123,10 +121,6 @@ Snapshot TakeSnapshot();
 // Counts recorded concurrently with a Reset may land on either side of it;
 // quiesce recording threads first when exact cuts matter.
 void Reset();
-
-// Parses a snapshot back from Snapshot::ToJson() output (raw fields only;
-// derived statistics are recomputed). Returns false on malformed input.
-bool SnapshotFromJson(const std::string& json, Snapshot* out);
 
 }  // namespace prof
 }  // namespace stsm

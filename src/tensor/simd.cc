@@ -68,8 +68,12 @@ const KernelTable* Active() {
 }
 
 void SetDispatchForTesting(bool enabled) {
+  SetDispatchForTesting(enabled ? Supported() : nullptr);
+}
+
+void SetDispatchForTesting(const KernelTable* table) {
   InitOnce();
-  g_active.store(enabled ? g_supported : nullptr, std::memory_order_release);
+  g_active.store(table, std::memory_order_release);
 }
 
 void ResetDispatch() {

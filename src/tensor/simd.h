@@ -21,6 +21,9 @@
 //    the scalar reference, not bitwise. They are still deterministic
 //    run-to-run, and layout-independent as long as callers feed every layout
 //    through the same kernel (ops.cc gathers strided rows into scratch).
+//  - spmm_rows (the CSR gather behind Spmm forward and backward) is BITWISE
+//    identical to the scalar SpMM kernels: per output element the same
+//    multiplies and adds in the same order, vectorised across columns only.
 //  - gemm_micro uses FMA and a wider tile, so PackedGemm under SIMD is
 //    ULP-bounded against scalar PackedGemm; within one dispatch mode it
 //    stays bitwise reproducible and stride/thread-count independent.
@@ -79,6 +82,18 @@ struct KernelTable {
   // semantics exactly.
   bool (*softmax_row)(const float* x, float* y, int64_t n);
 
+  // ---- CSR gather (bitwise-exact vs scalar) ----------------------------
+  // For rows i in [row_begin, row_end), with x and y row-major, c wide:
+  //   y[i, :] = (accumulate ? y[i, :] : 0)
+  //             + sum_p values[p] * x[col_idx[p], :]
+  // over p in [row_ptr[i], row_ptr[i + 1]) in ascending order. Each term
+  // is a rounded multiply then a rounded add (no FMA), so every element
+  // sees the scalar SpMM kernels' exact operation sequence.
+  void (*spmm_rows)(const int32_t* row_ptr, const int32_t* col_idx,
+                    const float* values, const float* x, float* y,
+                    int64_t row_begin, int64_t row_end, int64_t c,
+                    bool accumulate);
+
   const char* isa;  // e.g. "avx2+fma"
 };
 
@@ -94,6 +109,10 @@ const KernelTable* Active();
 // Force dispatch on (when Supported()) or off. Used by the differential
 // tests and the scalar-vs-SIMD benchmarks; production code never calls it.
 void SetDispatchForTesting(bool enabled);
+// Install an arbitrary table, e.g. a copy of Supported() with one entry
+// swapped for a scalar twin, so a test can pin one kernel's effect end to
+// end while every other op keeps its vector path. nullptr means scalar.
+void SetDispatchForTesting(const KernelTable* table);
 // Restore the default env+CPUID decision.
 void ResetDispatch();
 

@@ -6,7 +6,8 @@
 //
 // Exactness rules (see simd.h): elementwise kernels use only operations the
 // hardware rounds identically to their scalar counterparts (add/sub/mul/div/
-// sqrt/compare-blend), never FMA, so they are bitwise-exact. The GEMM
+// sqrt/compare-blend), never FMA, so they are bitwise-exact; so is the CSR
+// gather, which only vectorises across columns. The GEMM
 // microkernel and softmax/sum deliberately trade bitwise equality for speed
 // (FMA tiles, lane-split accumulation, polynomial exp) and are ULP-bounded.
 
@@ -447,6 +448,60 @@ bool SoftmaxRowK(const float* x, float* y, int64_t n) {
   return true;
 }
 
+// ---- CSR gather -------------------------------------------------------------
+
+// One output row's column tiles stay in registers across the whole nonzero
+// loop: 16 columns in two ymm accumulators, then one 8-column tile, then a
+// scalar tail. Each term is mul then add (never fmadd) in ascending p, which
+// is exactly the scalar kernels' per-element sequence, so the result is
+// bitwise identical. The overwrite mode starts from +0.0 like their
+// std::fill, so a lone -0.0 product still lands as +0.0.
+void SpmmRowsK(const int32_t* row_ptr, const int32_t* col_idx,
+               const float* values, const float* x, float* y,
+               int64_t row_begin, int64_t row_end, int64_t c,
+               bool accumulate) {
+  const __m256 zero = _mm256_setzero_ps();
+  for (int64_t i = row_begin; i < row_end; ++i) {
+    const int32_t p0 = row_ptr[i];
+    const int32_t p1 = row_ptr[i + 1];
+    float* yrow = y + i * c;
+    int64_t cc = 0;
+    for (; cc + 16 <= c; cc += 16) {
+      __m256 acc0 = zero;
+      __m256 acc1 = zero;
+      if (accumulate) {
+        acc0 = _mm256_loadu_ps(yrow + cc);
+        acc1 = _mm256_loadu_ps(yrow + cc + 8);
+      }
+      for (int32_t p = p0; p < p1; ++p) {
+        const __m256 a = _mm256_set1_ps(values[p]);
+        const float* xrow = x + static_cast<int64_t>(col_idx[p]) * c + cc;
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(a, _mm256_loadu_ps(xrow)));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(a, _mm256_loadu_ps(xrow + 8)));
+      }
+      _mm256_storeu_ps(yrow + cc, acc0);
+      _mm256_storeu_ps(yrow + cc + 8, acc1);
+    }
+    if (cc + 8 <= c) {
+      __m256 acc = accumulate ? _mm256_loadu_ps(yrow + cc) : zero;
+      for (int32_t p = p0; p < p1; ++p) {
+        const __m256 a = _mm256_set1_ps(values[p]);
+        const float* xrow = x + static_cast<int64_t>(col_idx[p]) * c + cc;
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(a, _mm256_loadu_ps(xrow)));
+      }
+      _mm256_storeu_ps(yrow + cc, acc);
+      cc += 8;
+    }
+    for (; cc < c; ++cc) {
+      float acc = accumulate ? yrow[cc] : 0.0f;
+      for (int32_t p = p0; p < p1; ++p) {
+        acc += values[p] * x[static_cast<int64_t>(col_idx[p]) * c + cc];
+      }
+      yrow[cc] = acc;
+    }
+  }
+}
+
 const KernelTable kAvx2Table = {
     /*gemm_mr=*/kMr,
     /*gemm_nr=*/kNr,
@@ -474,6 +529,7 @@ const KernelTable kAvx2Table = {
     MaxRowK,
     MinRowK,
     SoftmaxRowK,
+    SpmmRowsK,
     /*isa=*/"avx2+fma",
 };
 

@@ -4,12 +4,14 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
 #include "common/prof.h"
 #include "common/thread_pool.h"
 #include "tensor/ops.h"
+#include "tensor/simd.h"
 
 namespace stsm {
 
@@ -118,6 +120,8 @@ void EnsureTransposePlan(CsrImpl* a) {
 // ascending source index, zero terms skipped. That makes CSR-vs-dense
 // differential tests bitwise, not tolerance-bounded (the oracle reads a
 // dense matrix but is NOT the packed GEMM — flop order differs there).
+// simd::KernelTable::spmm_rows is the vector twin of both fp32 kernels; it
+// keeps their per-element sequence, so dispatch never changes a bit.
 
 // Widening value loads: fp32 values pass through, bf16 bit patterns widen
 // exactly. The accumulation is fp32 for either storage type.
@@ -214,6 +218,7 @@ class SpmmNode : public Node {
     const int64_t m = a->cols;
     const int64_t c = output->shape[-1];
     const int64_t batches = output->shape.numel() / (n * c);
+    const simd::KernelTable* vk = simd::Active();
     // Each task owns a disjoint block of dX rows within one batch and the
     // batches write disjoint windows of the (contiguous) grad buffer, so the
     // whole (batch, block) grid accumulates race-free.
@@ -223,8 +228,14 @@ class SpmmNode : public Node {
         const int64_t batch = t / blocks;
         const int64_t j0 = (t % blocks) * kSpmmRowBlock;
         const int64_t j1 = std::min(m, j0 + kSpmmRowBlock);
-        SpmmBackwardKernel(trp, tci, tav, gout + batch * n * c,
-                           gx + batch * m * c, j0, j1, c);
+        const float* gb = gout + batch * n * c;
+        float* gxb = gx + batch * m * c;
+        if (vk != nullptr) {
+          vk->spmm_rows(trp, tci, tav, gb, gxb, j0, j1, c,
+                        /*accumulate=*/true);
+        } else {
+          SpmmBackwardKernel(trp, tci, tav, gb, gxb, j0, j1, c);
+        }
       }
     });
   }
@@ -457,14 +468,24 @@ Tensor Spmm(const SparseCsr& a, const Tensor& x) {
   float* out = result->data();
   const int64_t batches = x.numel() / (m * c);
   const int64_t blocks = (n + kSpmmRowBlock - 1) / kSpmmRowBlock;
+  const simd::KernelTable* vk = simd::Active();
   auto run_rows = [&](const auto* av) {
     ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
       for (int64_t t = begin; t < end; ++t) {
         const int64_t batch = t / blocks;
         const int64_t i0 = (t % blocks) * kSpmmRowBlock;
         const int64_t i1 = std::min(n, i0 + kSpmmRowBlock);
-        SpmmRowsKernel(rp, ci, av, xd + batch * m * c, out + batch * n * c,
-                       i0, i1, c);
+        const float* xb = xd + batch * m * c;
+        float* yb = out + batch * n * c;
+        // bf16 values (serving only) keep the scalar loop.
+        if constexpr (std::is_same_v<decltype(av), const float*>) {
+          if (vk != nullptr) {
+            vk->spmm_rows(rp, ci, av, xb, yb, i0, i1, c,
+                          /*accumulate=*/false);
+            continue;
+          }
+        }
+        SpmmRowsKernel(rp, ci, av, xb, yb, i0, i1, c);
       }
     });
   };

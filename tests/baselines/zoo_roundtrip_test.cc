@@ -5,12 +5,12 @@
 
 #include "baselines/zoo.h"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "nn/serialize.h"
+#include "testing/temp_dir.h"
 
 namespace stsm {
 namespace {
@@ -33,7 +33,8 @@ std::vector<ModelKind> AllKinds() {
 }
 
 TEST(ZooRoundTripTest, EveryModelKindRoundTripsBitwise) {
-  const std::string path = "/tmp/stsm_zoo_roundtrip.bin";
+  ScopedTempDir dir;
+  const std::string path = dir.File("zoo.bin");
   const int num_nodes = 12;
   const uint64_t probe_seed = 77;
   for (ModelKind kind : AllKinds()) {
@@ -56,11 +57,11 @@ TEST(ZooRoundTripTest, EveryModelKindRoundTripsBitwise) {
           << "element " << i << " differs after checkpoint round-trip";
     }
   }
-  std::remove(path.c_str());
 }
 
 TEST(ZooRoundTripTest, LoadRejectsMismatchedArchitecture) {
-  const std::string path = "/tmp/stsm_zoo_mismatch.bin";
+  ScopedTempDir dir;
+  const std::string path = dir.File("small.bin");
   const StsmConfig config = SmallConfig();
   const ZooNetwork small = MakeZooNetwork(ModelKind::kStsm, config, 12);
   ASSERT_TRUE(SaveModule(*small.module, path));
@@ -68,7 +69,6 @@ TEST(ZooRoundTripTest, LoadRejectsMismatchedArchitecture) {
   bigger.hidden_dim = 16;  // Different parameter shapes.
   const ZooNetwork big = MakeZooNetwork(ModelKind::kStsm, bigger, 12);
   EXPECT_FALSE(LoadModule(big.module.get(), path));
-  std::remove(path.c_str());
 }
 
 }  // namespace

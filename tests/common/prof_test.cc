@@ -162,48 +162,6 @@ TEST_F(ProfTest, HistogramPercentilesBracketTrueValues) {
   EXPECT_LE(stat->PercentileNs(1.0), static_cast<double>(stat->max_ns));
 }
 
-TEST_F(ProfTest, JsonRoundTripPreservesRawFields) {
-  for (int i = 0; i < 10; ++i) RecordTimerNs("prof_test.json", 100 + 37 * i);
-  RecordTimerNs("prof_test.json_other", 123456789);
-  RecordCounter("prof_test.json_count", 42);
-
-  const Snapshot original = TakeSnapshot();
-  const std::string json = original.ToJson();
-
-  Snapshot restored;
-  ASSERT_TRUE(SnapshotFromJson(json, &restored));
-  ASSERT_EQ(restored.timers.size(), original.timers.size());
-  ASSERT_EQ(restored.counters.size(), original.counters.size());
-  for (size_t i = 0; i < original.timers.size(); ++i) {
-    const StatSnapshot& a = original.timers[i];
-    const StatSnapshot& b = restored.timers[i];
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.total_ns, b.total_ns);
-    EXPECT_EQ(a.min_ns, b.min_ns);
-    EXPECT_EQ(a.max_ns, b.max_ns);
-    EXPECT_EQ(a.buckets, b.buckets);
-  }
-  const StatSnapshot* count = restored.FindCounter("prof_test.json_count");
-  ASSERT_NE(count, nullptr);
-  EXPECT_EQ(count->total_ns, 42u);
-}
-
-TEST_F(ProfTest, JsonParserRejectsGarbage) {
-  Snapshot out;
-  EXPECT_FALSE(SnapshotFromJson("not json", &out));
-  EXPECT_FALSE(SnapshotFromJson("{\"timers\": [", &out));
-}
-
-TEST_F(ProfTest, CsvHasHeaderAndOneRowPerStat) {
-  RecordTimerNs("prof_test.csv", 10);
-  RecordCounter("prof_test.csv_count", 3);
-  const std::string csv = TakeSnapshot().ToCsv();
-  EXPECT_NE(csv.find("kind,name,count,total_ns"), std::string::npos);
-  EXPECT_NE(csv.find("timer,prof_test.csv,"), std::string::npos);
-  EXPECT_NE(csv.find("counter,prof_test.csv_count,"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace prof
 }  // namespace stsm

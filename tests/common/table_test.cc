@@ -1,10 +1,10 @@
 #include "common/table.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "gtest/gtest.h"
+#include "testing/temp_dir.h"
 
 namespace stsm {
 namespace {
@@ -38,13 +38,13 @@ TEST(TableTest, CsvQuotesSpecialCharacters) {
 TEST(TableTest, WriteCsvRoundTrip) {
   Table table({"h"});
   table.AddRow({"v"});
-  const std::string path = "/tmp/stsm_table_test.csv";
+  ScopedTempDir dir;
+  const std::string path = dir.File("table.csv");
   ASSERT_TRUE(table.WriteCsv(path));
   std::ifstream file(path);
   std::stringstream buffer;
   buffer << file.rdbuf();
   EXPECT_EQ(buffer.str(), "h\nv\n");
-  std::remove(path.c_str());
 }
 
 TEST(TableTest, NumRows) {

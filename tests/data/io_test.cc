@@ -1,7 +1,5 @@
 // Tests for CSV dataset I/O and SVG map rendering.
 
-#include <cstdio>
-#include <filesystem>
 #include <fstream>
 
 #include "data/csv_io.h"
@@ -9,6 +7,7 @@
 #include "data/splits.h"
 #include "data/svg_map.h"
 #include "gtest/gtest.h"
+#include "testing/temp_dir.h"
 
 namespace stsm {
 namespace {
@@ -27,12 +26,8 @@ SpatioTemporalDataset TinyDataset() {
 
 class CsvIoTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    directory_ = "/tmp/stsm_csv_io_test";
-    std::filesystem::create_directories(directory_);
-  }
-  void TearDown() override { std::filesystem::remove_all(directory_); }
-  std::string directory_;
+  ScopedTempDir dir_;
+  const std::string directory_ = dir_.path();
 };
 
 TEST_F(CsvIoTest, RoundTripPreservesEverything) {
@@ -63,7 +58,7 @@ TEST_F(CsvIoTest, RoundTripPreservesEverything) {
 }
 
 TEST_F(CsvIoTest, MissingDirectoryFails) {
-  EXPECT_FALSE(LoadDatasetCsv("/tmp/stsm_no_such_dir_xyz").has_value());
+  EXPECT_FALSE(LoadDatasetCsv(dir_.Absent()).has_value());
 }
 
 TEST_F(CsvIoTest, DimensionMismatchRejected) {
@@ -117,11 +112,11 @@ TEST(SvgMapTest, TitleRendered) {
 
 TEST(SvgMapTest, WriteSvgCreatesFile) {
   const auto dataset = TinyDataset();
-  const std::string path = "/tmp/stsm_svg_test.svg";
+  ScopedTempDir dir;
+  const std::string path = dir.File("map.svg");
   ASSERT_TRUE(WriteSvg(RenderSensorMapSvg(dataset.coords), path));
   std::ifstream file(path);
   EXPECT_TRUE(file.good());
-  std::remove(path.c_str());
 }
 
 }  // namespace

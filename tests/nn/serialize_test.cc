@@ -10,14 +10,15 @@
 #include "nn/precision.h"
 #include "tensor/dtype.h"
 #include "tensor/ops.h"
+#include "testing/temp_dir.h"
 
 namespace stsm {
 namespace {
 
 class SerializeTest : public ::testing::Test {
  protected:
-  void TearDown() override { std::remove(path_.c_str()); }
-  const std::string path_ = "/tmp/stsm_serialize_test.bin";
+  ScopedTempDir dir_;
+  const std::string path_ = dir_.File("tensors.bin");
 };
 
 TEST_F(SerializeTest, TensorRoundTrip) {
@@ -39,7 +40,7 @@ TEST_F(SerializeTest, TensorRoundTrip) {
 }
 
 TEST_F(SerializeTest, MissingFileReturnsEmpty) {
-  EXPECT_TRUE(LoadTensors("/tmp/stsm_no_such_file.bin").empty());
+  EXPECT_TRUE(LoadTensors(dir_.Absent()).empty());
 }
 
 TEST_F(SerializeTest, CorruptMagicRejected) {

@@ -4,7 +4,7 @@
 // and deterministic; skips cleanly on machines without SIMD kernels.
 //
 // Comparison tiers match the contract in tensor/simd.h:
-//  - elementwise, Max/Min (values AND routed gradients): bitwise
+//  - elementwise, Max/Min, Spmm (values AND routed gradients): bitwise
 //  - Sum/SumDim/Softmax/MatMul (reassociated flop order): tight ULP / scaled
 //    absolute tolerance, on outputs and on input gradients
 
@@ -19,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
+#include "tensor/sparse.h"
 #include "tensor/tensor.h"
 
 namespace stsm {
@@ -332,6 +333,71 @@ TEST_F(SimdDifferentialTest, MatMulScaledToleranceWithTransposes) {
             << "matmul grad " << t << " mode=" << mode;
       }
     }
+  }
+}
+
+// ---- Spmm -------------------------------------------------------------------
+
+// Random CSR shapes and densities, 0-2 leading batch dims, and inputs that
+// are contiguous, a transposed view or a column slice (Spmm compacts them
+// differentiably, so the gradient flows back into the strided base). Output
+// and input gradient must match bit for bit across dispatch.
+TEST_F(SimdDifferentialTest, SpmmBitwiseOverBatchDimsAndStridedInputs) {
+  std::mt19937 rng(8086);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::uniform_int_distribution<int64_t> dim(1, 40);
+    const int64_t n = dim(rng), m = dim(rng), c = dim(rng);
+    std::uniform_real_distribution<float> density_dist(0.0f, 0.6f);
+    std::bernoulli_distribution keep(density_dist(rng));
+    std::uniform_real_distribution<float> value(-2.0f, 2.0f);
+    std::vector<int32_t> row_ptr = {0};
+    std::vector<int32_t> col_idx;
+    std::vector<float> values;
+    for (int64_t i = 0; i < n; ++i) {
+      for (int64_t j = 0; j < m; ++j) {
+        if (!keep(rng)) continue;
+        col_idx.push_back(static_cast<int32_t>(j));
+        values.push_back(value(rng));
+      }
+      row_ptr.push_back(static_cast<int32_t>(col_idx.size()));
+    }
+    const SparseCsr a = SparseCsr::FromParts(n, m, row_ptr, col_idx, values);
+
+    std::uniform_int_distribution<int> batch_rank(0, 2);
+    std::uniform_int_distribution<int64_t> batch_dim(1, 3);
+    std::vector<int64_t> batch(static_cast<size_t>(batch_rank(rng)));
+    for (auto& d : batch) d = batch_dim(rng);
+    const int mode = trial % 3;  // contiguous / transposed / column slice
+    std::vector<int64_t> base_dims = batch;
+    if (mode == 1) {
+      base_dims.insert(base_dims.end(), {c, m});
+    } else {
+      base_dims.insert(base_dims.end(), {m, mode == 2 ? c + 3 : c});
+    }
+    const Shape base_shape(base_dims);
+    const auto xv = RandomValues(base_shape.numel(), &rng, -2.0f, 2.0f);
+    std::vector<int64_t> out_dims = batch;
+    out_dims.insert(out_dims.end(), {n, c});
+    const Shape out_shape(out_dims);
+    const auto wv = RandomValues(out_shape.numel(), &rng, -1.0f, 1.0f);
+    const int last = static_cast<int>(base_dims.size()) - 1;
+    auto build = [&]() {
+      Tensor base = Tensor::FromVector(base_shape, std::vector<float>(xv))
+                        .set_requires_grad(true);
+      Tensor x;
+      switch (mode) {
+        case 1: x = Transpose(base, last - 1, last); break;
+        case 2: x = Slice(base, last, 2, 2 + c); break;
+        default: x = base; break;
+      }
+      // Weighting the output gives every row of dY a different value.
+      const Tensor w = Tensor::FromVector(out_shape, std::vector<float>(wv));
+      Tensor out = Mul(Spmm(a, x), w);
+      return std::make_pair(out, std::vector<Tensor>{base});
+    };
+    const RunResult scalar = RunOnce(false, build);
+    const RunResult vec = RunOnce(true, build);
+    ExpectBitwise(scalar, vec, "spmm");
   }
 }
 

@@ -25,10 +25,18 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/sharding.h"
+#include "testing/temp_dir.h"
 
 namespace stsm {
 namespace serve {
 namespace {
+
+// The fixture below is leaked, so its checkpoints stay loadable for every
+// test in this process; this directory is removed at exit.
+ScopedTempDir& CheckpointDir() {
+  static ScopedTempDir dir;
+  return dir;
+}
 
 struct NetFixture {
   SpatioTemporalDataset dataset;
@@ -38,9 +46,9 @@ struct NetFixture {
   ModelSpec spec_tcn;     // "stsm": TCN temporal module.
   ModelSpec spec_trans;   // "stsm-trans": transformer temporal module.
   ModelSpec spec_tcn_v2;  // Same name, different weights: the hot-swap spec.
-  std::string ckpt_tcn = "/tmp/stsm_net_test_tcn.bin";
-  std::string ckpt_trans = "/tmp/stsm_net_test_trans.bin";
-  std::string ckpt_tcn_v2 = "/tmp/stsm_net_test_tcn_v2.bin";
+  std::string ckpt_tcn = CheckpointDir().File("tcn.bin");
+  std::string ckpt_trans = CheckpointDir().File("trans.bin");
+  std::string ckpt_tcn_v2 = CheckpointDir().File("tcn_v2.bin");
 };
 
 NetFixture& Fixture() {
@@ -210,7 +218,7 @@ TEST(ModelRegistryTest, LoadReportsThePreviousEntryHealthTransition) {
   EXPECT_EQ(swap.previous, EntryHealth::kHealthy);
 
   ModelSpec broken = f.spec_tcn;
-  broken.checkpoint_path = "/tmp/stsm_net_test_missing.bin";
+  broken.checkpoint_path = CheckpointDir().Absent();
   const LoadResult regression = registry.Load(broken);
   EXPECT_FALSE(regression.healthy);
   EXPECT_EQ(regression.previous, EntryHealth::kHealthy);

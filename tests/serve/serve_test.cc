@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "tensor/autograd.h"
 #include "tensor/dtype.h"
 #include "tensor/storage.h"
+#include "testing/temp_dir.h"
 
 namespace stsm {
 namespace serve {
@@ -145,13 +145,20 @@ TEST(BoundedQueueTest, CloseDrainsThenStops) {
 
 // ---- Server ----
 
+// The fixture below is leaked, so its checkpoints stay loadable for every
+// test in this process; this directory is removed at exit.
+ScopedTempDir& CheckpointDir() {
+  static ScopedTempDir dir;
+  return dir;
+}
+
 struct ServeFixture {
   SpatioTemporalDataset dataset;
   StsmConfig config;
   SpaceSplit split;
   ModelSpec spec;
   ModelRegistry registry;
-  std::string checkpoint = "/tmp/stsm_serve_test_ckpt.bin";
+  std::string checkpoint = CheckpointDir().File("ckpt.bin");
 };
 
 ServeFixture& Fixture() {
@@ -378,7 +385,7 @@ TEST(ForecastServerTest, UnhealthyModelDegradesInsteadOfFailing) {
   ModelRegistry registry;
   ModelSpec broken = f.spec;
   broken.name = "broken";
-  broken.checkpoint_path = "/tmp/stsm_serve_test_missing_ckpt.bin";
+  broken.checkpoint_path = CheckpointDir().Absent();
   EXPECT_FALSE(registry.Load(broken).healthy);  // Load failure reported...
   ASSERT_NE(registry.Find("broken"), nullptr);  // ...but still registered.
   EXPECT_FALSE(registry.Find("broken")->healthy());

@@ -6,11 +6,13 @@
 // tolerances. On machines without AVX2 the differential cases skip and the
 // dispatch-state tests still run.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
+#include "tensor/sparse.h"
 #include "tensor/tensor.h"
 
 namespace stsm {
@@ -566,6 +569,175 @@ TEST_F(SimdKernelTest, TensorOpsBitwiseAcrossDispatch) {
       ASSERT_EQ(Bits(scalar_out[t].data()[i]), Bits(vector_out[t].data()[i]))
           << "op " << t << " element " << i;
     }
+  }
+}
+
+// ---- CSR gather (spmm_rows) --------------------------------------------------
+
+// The scalar SpMM kernels' exact loop (sparse.cc SpmmRowsKernel for the
+// overwrite mode, SpmmBackwardKernel for the accumulate mode).
+void ReferenceSpmmRows(const int32_t* row_ptr, const int32_t* col_idx,
+                       const float* values, const float* x, float* y,
+                       int64_t row_begin, int64_t row_end, int64_t c,
+                       bool accumulate) {
+  for (int64_t i = row_begin; i < row_end; ++i) {
+    float* yrow = y + i * c;
+    if (!accumulate) std::fill(yrow, yrow + c, 0.0f);
+    for (int32_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
+      const float* xrow = x + static_cast<int64_t>(col_idx[p]) * c;
+      for (int64_t cc = 0; cc < c; ++cc) yrow[cc] += values[p] * xrow[cc];
+    }
+  }
+}
+
+// 7 x 6 pattern with empty rows (0, 3), a one-nonzero row (1), an empty
+// column (2) and rows of 2-5 nonzeros.
+struct CsrPattern {
+  int64_t rows = 7;
+  int64_t cols = 6;
+  std::vector<int32_t> row_ptr = {0, 0, 1, 5, 5, 8, 10, 15};
+  std::vector<int32_t> col_idx = {3, 0, 1, 4, 5, 0, 3, 4, 1, 5, 0, 1, 3, 4, 5};
+};
+
+// Widths: every tail 1-17 (pure scalar tail, 8-tile, 16-tile + tails) plus
+// 8-tile-only, two 16-tiles.
+std::vector<int64_t> SpmmWidths() {
+  std::vector<int64_t> widths;
+  for (int64_t c = 1; c <= 17; ++c) widths.push_back(c);
+  widths.push_back(24);
+  widths.push_back(32);
+  return widths;
+}
+
+// NaN outputs must be NaN on both paths; their payload is not compared: when
+// two different NaNs meet in one add, x86 keeps the first operand's and the
+// compiler chooses operand order for either path (the elementwise tests
+// apply the same rule). Every other output is compared bit for bit.
+void ExpectSameOrBothNan(const std::vector<float>& want,
+                         const std::vector<float>& got, const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i])) {
+      ASSERT_TRUE(std::isnan(got[i])) << what << " at " << i;
+    } else {
+      ASSERT_EQ(Bits(want[i]), Bits(got[i]))
+          << what << " diverges at [" << i << "]: " << want[i] << " vs "
+          << got[i];
+    }
+  }
+}
+
+TEST_F(SimdKernelTest, SpmmRowsBitwiseAtEveryWidthBothModes) {
+  const CsrPattern a;
+  const auto values = RandomVec(a.row_ptr.back(), &rng_);
+  for (int64_t c : SpmmWidths()) {
+    SCOPED_TRACE(c);
+    const auto x = RandomVec(a.cols * c, &rng_);
+    const auto y0 = RandomVec(a.rows * c, &rng_);
+    for (bool accumulate : {false, true}) {
+      std::vector<float> got = y0, want = y0;
+      table_->spmm_rows(a.row_ptr.data(), a.col_idx.data(), values.data(),
+                        x.data(), got.data(), 0, a.rows, c, accumulate);
+      ReferenceSpmmRows(a.row_ptr.data(), a.col_idx.data(), values.data(),
+                        x.data(), want.data(), 0, a.rows, c, accumulate);
+      ExpectBitwiseVec(got, want, accumulate ? "accumulate" : "overwrite");
+    }
+    // A sub-range leaves the rows outside it untouched.
+    std::vector<float> got = y0;
+    table_->spmm_rows(a.row_ptr.data(), a.col_idx.data(), values.data(),
+                      x.data(), got.data(), 2, 5, c, false);
+    for (int64_t i = 0; i < c * 2; ++i) ASSERT_EQ(Bits(got[i]), Bits(y0[i]));
+    for (int64_t i = c * 5; i < c * a.rows; ++i) {
+      ASSERT_EQ(Bits(got[i]), Bits(y0[i]));
+    }
+  }
+}
+
+// Forward Y = A X and backward dX = Aᵀ dY through Spmm, run under scalar
+// and vector dispatch. Returns {Y, dX}; dY = w.
+std::pair<std::vector<float>, std::vector<float>> SpmmForwardBackward(
+    bool vectorized, const SparseCsr& a, const std::vector<float>& x,
+    const std::vector<float>& w, int64_t c) {
+  simd::SetDispatchForTesting(vectorized);
+  Tensor xt = Tensor::FromVector(Shape({a.cols(), c}), std::vector<float>(x))
+                  .set_requires_grad(true);
+  const Tensor wt =
+      Tensor::FromVector(Shape({a.rows(), c}), std::vector<float>(w));
+  const Tensor y = Spmm(a, xt);
+  Sum(Mul(y, wt)).Backward();
+  std::pair<std::vector<float>, std::vector<float>> out{
+      std::vector<float>(y.data(), y.data() + y.numel()),
+      std::vector<float>(xt.grad_data(), xt.grad_data() + xt.numel())};
+  simd::ResetDispatch();
+  return out;
+}
+
+TEST_F(SimdKernelTest, SpmmForwardBackwardBitwiseAcrossDispatch) {
+  DispatchGuard guard;
+  const CsrPattern p;
+  const SparseCsr a = SparseCsr::FromParts(
+      p.rows, p.cols, p.row_ptr, p.col_idx, RandomVec(p.row_ptr.back(), &rng_));
+  for (int64_t c : SpmmWidths()) {
+    SCOPED_TRACE(c);
+    const auto x = RandomVec(p.cols * c, &rng_);
+    const auto w = RandomVec(p.rows * c, &rng_);
+    const auto scalar = SpmmForwardBackward(false, a, x, w, c);
+    const auto vector = SpmmForwardBackward(true, a, x, w, c);
+    ExpectBitwiseVec(scalar.first, vector.first, "Y");
+    ExpectBitwiseVec(scalar.second, vector.second, "dX");
+    // The empty column's gradient row stays exactly zero.
+    for (int64_t cc = 0; cc < c; ++cc) {
+      ASSERT_EQ(Bits(vector.second[2 * c + cc]), Bits(0.0f));
+    }
+  }
+}
+
+TEST_F(SimdKernelTest, SpmmSpecialValuesAcrossDispatch) {
+  DispatchGuard guard;
+  const CsrPattern p;
+  // ±0.0, denormals, ±Inf and NaN in the matrix values, the input and the
+  // incoming gradient, rotated so each width sees different pairings.
+  const std::vector<float> sv = SpecialValues();
+  auto soup = [&](int64_t n, size_t offset) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (size_t i = 0; i < v.size(); ++i) {
+      v[i] = sv[(i * 5 + offset) % sv.size()];
+    }
+    return v;
+  };
+  const SparseCsr a = SparseCsr::FromParts(p.rows, p.cols, p.row_ptr,
+                                           p.col_idx, soup(p.row_ptr.back(), 0));
+  for (int64_t c : SpmmWidths()) {
+    SCOPED_TRACE(c);
+    const auto x = soup(p.cols * c, static_cast<size_t>(c));
+    const auto w = soup(p.rows * c, static_cast<size_t>(c) + 3);
+    const auto scalar = SpmmForwardBackward(false, a, x, w, c);
+    const auto vector = SpmmForwardBackward(true, a, x, w, c);
+    ExpectSameOrBothNan(scalar.first, vector.first, "Y");
+    ExpectSameOrBothNan(scalar.second, vector.second, "dX");
+  }
+  // Finite special values alone (±0.0, denormals) have no NaN to excuse:
+  // fully bitwise, including a -0.0 product landing on a +0.0 start.
+  const float den = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> finite = {0.0f, -0.0f, den, -den, 1e-41f, -1e-41f,
+                                     1.0f, -1.0f, 0.5f};
+  auto finite_soup = [&](int64_t n, size_t offset) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (size_t i = 0; i < v.size(); ++i) {
+      v[i] = finite[(i * 5 + offset) % finite.size()];
+    }
+    return v;
+  };
+  const SparseCsr af = SparseCsr::FromParts(
+      p.rows, p.cols, p.row_ptr, p.col_idx, finite_soup(p.row_ptr.back(), 1));
+  for (int64_t c : SpmmWidths()) {
+    SCOPED_TRACE(c);
+    const auto x = finite_soup(p.cols * c, static_cast<size_t>(c));
+    const auto w = finite_soup(p.rows * c, static_cast<size_t>(c) + 2);
+    const auto scalar = SpmmForwardBackward(false, af, x, w, c);
+    const auto vector = SpmmForwardBackward(true, af, x, w, c);
+    ExpectBitwiseVec(scalar.first, vector.first, "Y finite specials");
+    ExpectBitwiseVec(scalar.second, vector.second, "dX finite specials");
   }
 }
 

@@ -58,6 +58,13 @@ cannot know because they encode *this* codebase's contracts:
                      paper metrics; the runtime autograd checks catch it
                      late, this catches it at review time.
 
+  tests-no-tmp       no literal "/tmp/ path in tests/. gtest_discover_tests
+                     runs every test case as its own process and ctest -j
+                     runs them at once, so a fixed path is shared between
+                     concurrent tests (one truncates a checkpoint another
+                     is loading). Tests take a fresh per-test directory
+                     from tests/testing/temp_dir.h instead.
+
 Usage: stsm_lint.py [repo_root]
 
 Exit status 0 when clean, 1 with one line per finding otherwise. Stdlib
@@ -314,6 +321,28 @@ def check_bf16_serve_only(root, findings):
                 "and core/config.h; training stays fp32 bit-for-bit")
 
 
+# ---- tests-no-tmp -----------------------------------------------------------
+
+TMP_LITERAL = re.compile(r'"/tmp/')
+
+
+def check_tests_no_tmp(root, findings):
+    base = root / "tests"
+    if not base.is_dir():
+        return
+    for path in sorted(base.rglob("*")):
+        if path.suffix not in (".h", ".cc", ".cpp"):
+            continue
+        rel = path.relative_to(root).as_posix()
+        text = strip_comments(read(path))
+        for match in TMP_LITERAL.finditer(text):
+            line = text[: match.start()].count("\n") + 1
+            findings.append(
+                f"{rel}:{line}: [tests-no-tmp] literal \"/tmp/ path in a "
+                "test — concurrent ctest processes share it; use "
+                "ScopedTempDir (tests/testing/temp_dir.h)")
+
+
 # ---- driver -----------------------------------------------------------------
 
 
@@ -328,6 +357,7 @@ def main(argv):
     check_mutex_guarded(root, findings)
     check_sparse_kernel_oracle(root, findings)
     check_bf16_serve_only(root, findings)
+    check_tests_no_tmp(root, findings)
     for finding in findings:
         print(finding, file=sys.stderr)
     if findings:
@@ -335,7 +365,7 @@ def main(argv):
         return 1
     print("stsm_lint: OK (serve-nograd, ops-strided-pair, pool-include, "
           "prof-scope-unique, mutex-guarded, sparse-kernel-oracle, "
-          "bf16-serve-only)")
+          "bf16-serve-only, tests-no-tmp)")
     return 0
 
 
