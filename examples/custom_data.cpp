@@ -5,10 +5,15 @@
 // through the CSV layout documented in data/csv_io.h, then runs STSM on the
 // reloaded copy — the exact workflow for custom data.
 //
-// Run: ./build/examples/custom_data
+// Run: ./build/examples/custom_data [output_dir]
+// Without an argument the CSV bundle goes to a fresh directory under the
+// system temp directory; its path is printed first.
+
+#include <stdlib.h>  // mkdtemp (POSIX).
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "core/config.h"
 #include "core/stsm.h"
@@ -17,10 +22,23 @@
 #include "data/splits.h"
 #include "data/svg_map.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace stsm;
-  const std::string directory = "/tmp/stsm_custom_data";
-  std::filesystem::create_directories(directory);
+  std::string directory;
+  if (argc > 1) {
+    directory = argv[1];
+    std::filesystem::create_directories(directory);
+  } else {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "stsm_custom_data.XXXXXX")
+            .string();
+    if (mkdtemp(pattern.data()) == nullptr) {
+      std::perror("mkdtemp");
+      return 1;
+    }
+    directory = pattern;
+  }
+  std::printf("Output directory: %s\n", directory.c_str());
 
   // Stand-in for your own data: a simulated region written out as CSV.
   SimulatorConfig sim;

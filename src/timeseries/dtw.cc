@@ -16,26 +16,39 @@ double DtwDistance(const std::vector<float>& a, const std::vector<float>& b,
   STSM_CHECK_GT(m, 0);
 
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Two-row dynamic program; row index i runs over `a`.
+  // Two-row dynamic program; row index i runs over `a`. Row i writes only its
+  // band [j_lo, j_hi], and the next row must read +inf everywhere else. The
+  // buffer row i overwrites still holds row i - 2, so only that row's band is
+  // reset first: O(band) per row instead of O(m). Row 0's band is its 0.0
+  // seed in cell 0.
   std::vector<double> previous(m + 1, kInf);
   std::vector<double> current(m + 1, kInf);
   previous[0] = 0.0;
+  int stale_lo = 1, stale_hi = 0;        // Band of `current`'s row (none).
+  int previous_lo = 0, previous_hi = 0;  // Band of `previous`'s row.
 
   const double slope = static_cast<double>(m) / n;
   for (int i = 1; i <= n; ++i) {
-    std::fill(current.begin(), current.end(), kInf);
+    std::fill(current.begin() + stale_lo, current.begin() + stale_hi + 1,
+              kInf);
     int j_lo = 1, j_hi = m;
     if (band > 0) {
       const int center = static_cast<int>(std::lround(i * slope));
       j_lo = std::max(1, center - band);
       j_hi = std::min(m, center + band);
     }
+    double left = kInf;  // current[j - 1]; +inf left of the band.
     for (int j = j_lo; j <= j_hi; ++j) {
       const double cost = std::fabs(static_cast<double>(a[i - 1]) - b[j - 1]);
-      const double best = std::min({previous[j], previous[j - 1], current[j - 1]});
-      if (best < kInf) current[j] = cost + best;
+      const double best = std::min({previous[j], previous[j - 1], left});
+      left = best < kInf ? cost + best : kInf;
+      current[j] = left;
     }
     std::swap(previous, current);
+    stale_lo = previous_lo;
+    stale_hi = previous_hi;
+    previous_lo = j_lo;
+    previous_hi = j_hi;
   }
   return previous[m];
 }

@@ -1,7 +1,7 @@
 #include "timeseries/temporal_adjacency.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -9,25 +9,55 @@
 
 namespace stsm {
 
-std::vector<double> ProfileDtwDistances(const SeriesMatrix& series,
-                                        int steps_per_day, int dtw_band) {
+namespace {
+
+enum class Role : char { kNeither, kTarget, kObserved };
+
+// Row-major N x N DTW distances between node daily profiles, computed for
+// the pairs the top-q selection can read: one endpoint observed, the other
+// observed or a target. Every other cell stays 0. Each pair runs
+// DtwDistance(profile[i], profile[j]) with i < j: DtwDistance is not
+// symmetric in general (the band centre follows the length ratio), so a
+// fixed order keeps every distance reproducible. All pairs cost the same,
+// so one flat ParallelFor over them splits the work evenly.
+std::vector<double> ReadPairDtwDistances(const SeriesMatrix& series,
+                                         const std::vector<Role>& role,
+                                         int steps_per_day, int dtw_band) {
   const int n = series.num_nodes;
   std::vector<std::vector<float>> profiles(n);
+  std::vector<std::pair<int, int>> pairs;
+  pairs.reserve(static_cast<size_t>(n) * (n - 1) / 2);
   for (int i = 0; i < n; ++i) {
+    if (role[i] == Role::kNeither) continue;
     profiles[i] = DailyProfile(series.NodeSeries(i), steps_per_day);
-  }
-  std::vector<double> distances(static_cast<size_t>(n) * n, 0.0);
-  // Upper triangle in parallel; DTW is symmetric in its arguments.
-  ParallelFor(0, n, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      for (int j = static_cast<int>(i) + 1; j < n; ++j) {
-        const double d = DtwDistance(profiles[i], profiles[j], dtw_band);
-        distances[i * n + j] = d;
-        distances[static_cast<size_t>(j) * n + i] = d;
+    for (int j = i + 1; j < n; ++j) {
+      if (role[j] == Role::kNeither) continue;
+      if (role[i] == Role::kObserved || role[j] == Role::kObserved) {
+        pairs.emplace_back(i, j);
       }
     }
-  });
+  }
+  std::vector<double> distances(static_cast<size_t>(n) * n, 0.0);
+  ParallelFor(0, static_cast<int64_t>(pairs.size()),
+              [&](int64_t begin, int64_t end) {
+                for (int64_t p = begin; p < end; ++p) {
+                  const auto [i, j] = pairs[p];
+                  const double d =
+                      DtwDistance(profiles[i], profiles[j], dtw_band);
+                  distances[static_cast<size_t>(i) * n + j] = d;
+                  distances[static_cast<size_t>(j) * n + i] = d;
+                }
+              });
   return distances;
+}
+
+}  // namespace
+
+std::vector<double> ProfileDtwDistances(const SeriesMatrix& series,
+                                        int steps_per_day, int dtw_band) {
+  return ReadPairDtwDistances(
+      series, std::vector<Role>(series.num_nodes, Role::kObserved),
+      steps_per_day, dtw_band);
 }
 
 Tensor TemporalSimilarityAdjacency(const SeriesMatrix& series,
@@ -36,8 +66,11 @@ Tensor TemporalSimilarityAdjacency(const SeriesMatrix& series,
                                    const TemporalAdjacencyOptions& options) {
   const int n = series.num_nodes;
   STSM_CHECK(!observed.empty());
-  const std::vector<double> dtw =
-      ProfileDtwDistances(series, options.steps_per_day, options.dtw_band);
+  std::vector<Role> role(n, Role::kNeither);
+  for (int target : targets) role[target] = Role::kTarget;
+  for (int obs : observed) role[obs] = Role::kObserved;
+  const std::vector<double> dtw = ReadPairDtwDistances(
+      series, role, options.steps_per_day, options.dtw_band);
 
   Tensor adjacency = Tensor::Zeros(Shape({n, n}));
   float* a = adjacency.data();

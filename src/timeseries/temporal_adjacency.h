@@ -31,13 +31,21 @@ struct TemporalAdjacencyOptions {
 // observations in the observed columns and pseudo-observations in the target
 // columns (the caller fills them beforehand; see FillPseudoObservations).
 // A[i][j] = 1 means node i aggregates from node j in a GCN step.
+//
+// Only the DTW distances the top-q selection reads are computed: pairs with
+// one observed endpoint and the other observed or a target. Target x target
+// pairs and nodes in neither list cost nothing. The pairs are flattened into
+// one list and split evenly over the thread pool; each costs O(len * band)
+// for daily profiles of length len = steps_per_day.
 Tensor TemporalSimilarityAdjacency(const SeriesMatrix& series,
                                    const std::vector<int>& observed,
                                    const std::vector<int>& targets,
                                    const TemporalAdjacencyOptions& options);
 
 // DTW distances between every pair of node daily profiles; row-major
-// N x N with 0 on the diagonal. Exposed for tests and diagnostics.
+// N x N with 0 on the diagonal. Runs the same pair loop as
+// TemporalSimilarityAdjacency over all N(N-1)/2 pairs, so each distance is
+// bitwise the one the adjacency ranks. Exposed for tests and diagnostics.
 std::vector<double> ProfileDtwDistances(const SeriesMatrix& series,
                                         int steps_per_day, int dtw_band);
 

@@ -1,4 +1,9 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "timeseries/dtw.h"
@@ -219,6 +224,223 @@ TEST(ProfileDtwTest, ZeroDiagonalSymmetric) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(d[i * 3 + i], 0.0);
     for (int j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(d[i * 3 + j], d[j * 3 + i]);
+  }
+}
+
+// ---- Bitwise equivalence against the full-reset reference ------------------
+
+// Reference DTW: the full-reset dynamic program, where every row refills all
+// m + 1 cells with +inf before computing its band. DtwDistance resets only
+// the cells the previous-but-one row wrote; the results must be identical.
+double ReferenceDtwDistance(const std::vector<float>& a,
+                            const std::vector<float>& b, int band) {
+  const int n = static_cast<int>(a.size());
+  const int m = static_cast<int>(b.size());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> previous(m + 1, kInf);
+  std::vector<double> current(m + 1, kInf);
+  previous[0] = 0.0;
+
+  const double slope = static_cast<double>(m) / n;
+  for (int i = 1; i <= n; ++i) {
+    std::fill(current.begin(), current.end(), kInf);
+    int j_lo = 1, j_hi = m;
+    if (band > 0) {
+      const int center = static_cast<int>(std::lround(i * slope));
+      j_lo = std::max(1, center - band);
+      j_hi = std::min(m, center + band);
+    }
+    for (int j = j_lo; j <= j_hi; ++j) {
+      const double cost = std::fabs(static_cast<double>(a[i - 1]) - b[j - 1]);
+      const double best =
+          std::min({previous[j], previous[j - 1], current[j - 1]});
+      if (best < kInf) current[j] = cost + best;
+    }
+    std::swap(previous, current);
+  }
+  return previous[m];
+}
+
+// Same bits, except that any NaN matches any NaN.
+bool SameBits(double x, double y) {
+  if (std::isnan(x) || std::isnan(y)) return std::isnan(x) && std::isnan(y);
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+std::vector<float> RandomSeries(int length, Rng* rng) {
+  std::vector<float> series(length);
+  for (auto& v : series) v = static_cast<float>(rng->Uniform(-5, 5));
+  return series;
+}
+
+// Overwrites about one value in `every` with a signed zero, an infinity or
+// a NaN.
+void SprinkleSpecials(std::vector<float>* series, int every, Rng* rng) {
+  constexpr float kSpecials[] = {0.0f, -0.0f,
+                                 std::numeric_limits<float>::infinity(),
+                                 -std::numeric_limits<float>::infinity(),
+                                 std::numeric_limits<float>::quiet_NaN()};
+  for (auto& v : *series) {
+    if (rng->UniformInt(every) == 0) v = kSpecials[rng->UniformInt(5)];
+  }
+}
+
+void ExpectDtwMatchesReference(const std::vector<float>& a,
+                               const std::vector<float>& b) {
+  const int n = static_cast<int>(a.size());
+  const int m = static_cast<int>(b.size());
+  for (int band : {0, 1, 2, 4, 12, std::max(n, m), std::max(n, m) + 5}) {
+    const double expected = ReferenceDtwDistance(a, b, band);
+    const double actual = DtwDistance(a, b, band);
+    EXPECT_TRUE(SameBits(actual, expected))
+        << "n=" << n << " m=" << m << " band=" << band << ": " << actual
+        << " vs reference " << expected;
+  }
+}
+
+TEST(DtwBitwiseTest, MatchesFullResetReferenceAcrossLengths) {
+  Rng rng(101);
+  for (int n = 1; n <= 300; ++n) {
+    const std::vector<float> a = RandomSeries(n, &rng);
+    std::vector<int> other_lengths = {n, 1 + rng.UniformInt(300)};
+    if (n <= 24) other_lengths.insert(other_lengths.end(), {n - 1, n + 1, 1});
+    for (int m : other_lengths) {
+      if (m > 0) ExpectDtwMatchesReference(a, RandomSeries(m, &rng));
+    }
+    ExpectDtwMatchesReference(a, a);  // Identical series.
+  }
+}
+
+TEST(DtwBitwiseTest, MatchesFullResetReferenceOnSpecialValues) {
+  Rng rng(202);
+  for (int trial = 0; trial < 60; ++trial) {
+    const int n = 1 + rng.UniformInt(64);
+    const int m = trial % 3 == 0 ? n : 1 + rng.UniformInt(64);
+    std::vector<float> a = RandomSeries(n, &rng);
+    std::vector<float> b = RandomSeries(m, &rng);
+    SprinkleSpecials(&a, 1 + trial % 8, &rng);
+    SprinkleSpecials(&b, 1 + trial % 8, &rng);
+    ExpectDtwMatchesReference(a, b);
+    ExpectDtwMatchesReference(b, a);
+    ExpectDtwMatchesReference(a, a);
+  }
+  // All-special series: signed zeros, a lone NaN and opposite infinities.
+  ExpectDtwMatchesReference({0.0f, -0.0f, 0.0f}, {-0.0f, 0.0f});
+  ExpectDtwMatchesReference({std::numeric_limits<float>::quiet_NaN()},
+                            {1.0f, 2.0f, 3.0f});
+  ExpectDtwMatchesReference({std::numeric_limits<float>::infinity(), 1.0f},
+                            {-std::numeric_limits<float>::infinity(), 1.0f});
+}
+
+// Reference adjacency: reference DTW over every pair into a dense matrix,
+// then the top-q selection.
+Tensor ReferenceTemporalAdjacency(const SeriesMatrix& series,
+                                  const std::vector<int>& observed,
+                                  const std::vector<int>& targets,
+                                  const TemporalAdjacencyOptions& options) {
+  const int n = series.num_nodes;
+  std::vector<std::vector<float>> profiles(n);
+  for (int i = 0; i < n; ++i) {
+    profiles[i] = DailyProfile(series.NodeSeries(i), options.steps_per_day);
+  }
+  std::vector<double> dtw(static_cast<size_t>(n) * n, 0.0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = i + 1; j < n; ++j) {
+      const double d =
+          ReferenceDtwDistance(profiles[i], profiles[j], options.dtw_band);
+      dtw[static_cast<size_t>(i) * n + j] = d;
+      dtw[static_cast<size_t>(j) * n + i] = d;
+    }
+  }
+  Tensor adjacency = Tensor::Zeros(Shape({n, n}));
+  float* a = adjacency.data();
+  auto top_similar = [&](int node, int count) {
+    std::vector<std::pair<double, int>> candidates;
+    for (int obs : observed) {
+      if (obs == node) continue;
+      candidates.emplace_back(dtw[static_cast<size_t>(node) * n + obs], obs);
+    }
+    const int k = std::min<int>(count, static_cast<int>(candidates.size()));
+    std::partial_sort(candidates.begin(), candidates.begin() + k,
+                      candidates.end());
+    std::vector<int> result(k);
+    for (int q = 0; q < k; ++q) result[q] = candidates[q].second;
+    return result;
+  };
+  for (int obs : observed) {
+    for (int peer : top_similar(obs, options.q_kk)) {
+      a[static_cast<int64_t>(obs) * n + peer] = 1.0f;
+      a[static_cast<int64_t>(peer) * n + obs] = 1.0f;
+    }
+  }
+  for (int target : targets) {
+    for (int source : top_similar(target, options.q_ku)) {
+      a[static_cast<int64_t>(target) * n + source] = 1.0f;
+    }
+  }
+  return adjacency;
+}
+
+TEST(DtwBitwiseTest, TemporalAdjacencyMatchesDenseReference) {
+  const int steps_per_day = 24;
+  const int num_nodes = 23;
+  SeriesMatrix series(steps_per_day * 3 + 5, num_nodes);
+  Rng rng(303);
+  for (auto& v : series.values) v = static_cast<float>(rng.Uniform(0, 10));
+  // Duplicated columns give tied DTW distances, so the index tie-break of
+  // the top-q selection decides between them.
+  for (int t = 0; t < series.num_steps; ++t) {
+    series.set(t, 7, series.at(t, 2));
+    series.set(t, 15, series.at(t, 2));
+    series.set(t, 20, series.at(t, 11));
+  }
+  // Unsorted lists; node 9 is in neither, nodes 11 and 20 tie as sources.
+  const std::vector<int> observed = {14, 2, 20, 0, 7, 11, 5, 18, 15, 3};
+  const std::vector<int> targets = {6, 21, 1, 13, 4, 22, 10, 17, 8, 12, 19,
+                                    16};
+  for (int band : {0, 2, 12}) {
+    for (const auto& [q_kk, q_ku] :
+         std::vector<std::pair<int, int>>{{1, 1}, {2, 3}, {4, 6}}) {
+      TemporalAdjacencyOptions options;
+      options.q_kk = q_kk;
+      options.q_ku = q_ku;
+      options.steps_per_day = steps_per_day;
+      options.dtw_band = band;
+      const Tensor expected =
+          ReferenceTemporalAdjacency(series, observed, targets, options);
+      const Tensor actual =
+          TemporalSimilarityAdjacency(series, observed, targets, options);
+      ASSERT_EQ(actual.shape(), expected.shape());
+      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                            sizeof(float) * expected.numel()),
+                0)
+          << "band=" << band << " q_kk=" << q_kk << " q_ku=" << q_ku;
+    }
+  }
+}
+
+TEST(DtwBitwiseTest, ProfileDistancesMatchReferenceOnEveryPair) {
+  const int steps_per_day = 12;
+  const int num_nodes = 9;
+  SeriesMatrix series(steps_per_day * 2, num_nodes);
+  Rng rng(404);
+  for (auto& v : series.values) v = static_cast<float>(rng.Uniform(-3, 3));
+  series.set(5, 4, std::numeric_limits<float>::quiet_NaN());
+  const auto d = ProfileDtwDistances(series, steps_per_day, /*dtw_band=*/3);
+  ASSERT_EQ(d.size(), static_cast<size_t>(num_nodes) * num_nodes);
+  for (int i = 0; i < num_nodes; ++i) {
+    const auto pi = DailyProfile(series.NodeSeries(i), steps_per_day);
+    EXPECT_DOUBLE_EQ(d[static_cast<size_t>(i) * num_nodes + i], 0.0);
+    for (int j = i + 1; j < num_nodes; ++j) {
+      const auto pj = DailyProfile(series.NodeSeries(j), steps_per_day);
+      const double expected = ReferenceDtwDistance(pi, pj, 3);
+      EXPECT_TRUE(SameBits(d[static_cast<size_t>(i) * num_nodes + j],
+                           expected))
+          << i << "," << j;
+      EXPECT_TRUE(SameBits(d[static_cast<size_t>(j) * num_nodes + i],
+                           expected))
+          << j << "," << i;
+    }
   }
 }
 
