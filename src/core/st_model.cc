@@ -1,9 +1,21 @@
 #include "core/st_model.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "tensor/ops.h"
 
 namespace stsm {
+namespace {
+
+// The last `steps` time steps of a [B, T, ...] tensor (a view; x itself
+// when that is all of it).
+Tensor LastSteps(const Tensor& x, int64_t steps) {
+  const int64_t time = x.shape()[1];
+  return steps == time ? x : Slice(x, 1, time - steps, time);
+}
+
+}  // namespace
 
 StBlock::StBlock(int64_t channels, const StsmConfig& config, Rng* rng)
     : temporal_module_(config.temporal_module) {
@@ -26,7 +38,18 @@ StBlock::StBlock(int64_t channels, const StsmConfig& config, Rng* rng)
   }
 }
 
-Tensor StBlock::TemporalBranch(const Tensor& x) const {
+int64_t StBlock::InputSteps(int64_t keep, int64_t time) const {
+  if (temporal_module_ != TemporalModule::kTcn) return time;
+  // A causal conv of kernel k and dilation d widens the field by (k−1)·d:
+  // 1 + 1 + 2 = 4 steps for the default stack (kernel 2, dilations 1, 2).
+  int64_t field = 1;
+  for (const auto& conv : tcn_stack_) {
+    field += (conv->kernel_size() - 1) * conv->dilation();
+  }
+  return std::min(time, keep + field - 1);
+}
+
+Tensor StBlock::TemporalBranch(const Tensor& x, int64_t steps) const {
   if (temporal_module_ == TemporalModule::kTcn) {
     Tensor h = x;
     for (const auto& conv : tcn_stack_) {
@@ -39,7 +62,7 @@ Tensor StBlock::TemporalBranch(const Tensor& x) const {
         ReluInPlace(h);
       }
     }
-    return h;
+    return LastSteps(h, steps);
   }
   // Transformer over time: [B, T, N, C] -> [B, N, T, C] -> [B*N, T, C].
   const int64_t batch = x.shape()[0];
@@ -48,8 +71,13 @@ Tensor StBlock::TemporalBranch(const Tensor& x) const {
   const int64_t channels = x.shape()[3];
   Tensor h = Transpose(x, 1, 2);
   h = Reshape(h, Shape({batch * nodes, time, channels}));
-  h = transformer_->Forward(h);
-  h = Reshape(h, Shape({batch, nodes, time, channels}));
+  if (steps == time) {
+    h = transformer_->Forward(h);
+  } else {
+    STSM_CHECK_EQ(steps, 1);
+    h = transformer_->ForwardLast(h);
+  }
+  h = Reshape(h, Shape({batch, nodes, steps, channels}));
   return Transpose(h, 1, 2);
 }
 
@@ -65,18 +93,32 @@ Tensor StBlock::SpatialBranch(const Tensor& x, const Adjacency& adj) const {
 }
 
 Tensor StBlock::Forward(const Tensor& x, const Adjacency& adj_spatial,
-                        const Adjacency& adj_temporal) const {
-  const Tensor h_temporal = TemporalBranch(x);
-  // Eq. 11: max over the two adjacency variants.
-  const Tensor h_spatial = Maximum(SpatialBranch(x, adj_spatial),
-                                   SpatialBranch(x, adj_temporal));
+                        const Adjacency& adj_temporal, int64_t keep) const {
+  const int64_t time = x.shape()[1];
+  if (keep < 0) keep = time;
+  STSM_CHECK(keep >= 1 && keep <= time) << "keep " << keep << " of " << time;
+  // STSM-trans prunes at inference only: under grad mode the fusion, FFN
+  // and projection Linear weight gradients sum their [B*N*steps] rows in
+  // kGemmKc-row k-blocks, and fewer rows move the block boundaries.
+  const bool prune =
+      temporal_module_ == TemporalModule::kTcn ||
+      (keep == 1 && !GradModeEnabled() && !transformer_->dropout_active());
+  const int64_t steps = prune ? keep : time;
+
+  const Tensor h_temporal = TemporalBranch(x, steps);
+  // Eq. 11: max over the two adjacency variants. The GCN branch is
+  // per-step, so it runs on the computed steps only.
+  const Tensor x_steps = LastSteps(x, steps);
+  const Tensor h_spatial = Maximum(SpatialBranch(x_steps, adj_spatial),
+                                   SpatialBranch(x_steps, adj_temporal));
   if (temporal_module_ == TemporalModule::kTcn) {
     return Add(h_spatial, h_temporal);  // Eq. 12.
   }
   // Gated fusion for STSM-trans.
   const Tensor gate = Sigmoid(Add(fusion_spatial_->Forward(h_spatial),
                                   fusion_temporal_->Forward(h_temporal)));
-  return Add(Mul(gate, h_spatial), Mul(Sub(1.0f, gate), h_temporal));
+  return LastSteps(
+      Add(Mul(gate, h_spatial), Mul(Sub(1.0f, gate), h_temporal)), keep);
 }
 
 std::vector<Module*> StBlock::Children() {
@@ -147,16 +189,28 @@ StModel::Output StModel::Forward(const Tensor& x, const Tensor& time_features,
       Unsqueeze(phi2_.Forward(time_features), 2);  // [B, T, 1, C'].
   Tensor h = input_dropout_.Forward(Mul(h_obs, h_time));
 
-  for (const auto& block : blocks_) {
-    h = block->Forward(h, adj_spatial, adj_temporal);
+  // Receptive-field windows: walk back from the one step the output reads.
+  // Block l produces keep[l] trailing steps from InputSteps(keep[l]) input
+  // steps — at the defaults, STSM-TCN's last block keeps 1 step of a 4-step
+  // input and the one before keeps 4 of 7.
+  std::vector<int64_t> keep(blocks_.size());
+  int64_t steps = 1;
+  for (size_t l = blocks_.size(); l-- > 0;) {
+    keep[l] = steps;
+    steps = blocks_[l]->InputSteps(steps, time);
+  }
+  // Sliced after the dropout, so its mask is still drawn over every step.
+  h = LastSteps(h, steps);
+  for (size_t l = 0; l < blocks_.size(); ++l) {
+    h = blocks_[l]->Forward(h, adj_spatial, adj_temporal, keep[l]);
   }
 
-  // Final features: last block output at the last input time step, which
-  // summarises the whole window through the dilated temporal stack
-  // (this is the H^{t+T',L} of Eq. 16).
+  // Final features: the last block's output at the last input time step
+  // (the H^{t+T',L} of Eq. 16). It does not summarise the whole window:
+  // STSM-TCN reads only the blocks' combined receptive field, input steps
+  // T−7…T−1 at the defaults; STSM-trans attends over all T steps.
   const Tensor last =
-      Reshape(Slice(h, 1, time - 1, time),
-              Shape({batch, nodes, config_.hidden_dim}));  // [B, N, C'].
+      Reshape(h, Shape({batch, nodes, config_.hidden_dim}));  // [B, N, C'].
 
   // Output head (Eq. 13): two linear maps with an inner ReLU produce all T'
   // horizon values per node at once. No output activation — targets are

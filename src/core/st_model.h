@@ -33,14 +33,28 @@ class StBlock : public Module {
   StBlock(int64_t channels, const StsmConfig& config, Rng* rng);
 
   // x: [B, T, N, C]; adjacencies are [N, N] (pre-normalised), dense or CSR.
+  // Returns the block output at the last `keep` time steps, [B, keep, N, C]
+  // (all T by default), bitwise equal to those steps of the full-window
+  // output. STSM-TCN computes only what they read: the conv stack over the
+  // whole input, the GCN branches over the kept steps. STSM-trans prunes
+  // only keep == 1 at inference (no grad, dropout inactive); otherwise it
+  // runs the full window and slices.
   Tensor Forward(const Tensor& x, const Adjacency& adj_spatial,
-                 const Adjacency& adj_temporal) const;
+                 const Adjacency& adj_temporal, int64_t keep = -1) const;
+
+  // Trailing input steps (at most `time`) that the last `keep` output steps
+  // depend on: keep + Σ(k−1)·d for the causal dilated TCN, the whole
+  // window for the transformer.
+  int64_t InputSteps(int64_t keep, int64_t time) const;
 
   std::vector<Tensor> Parameters() const override;
   std::vector<Module*> Children() override;
 
  private:
-  Tensor TemporalBranch(const Tensor& x) const;
+  // The temporal branch's last `steps` output steps (Eq. 5): the TCN over
+  // the whole input, sliced; the transformer over all T (steps == T) or
+  // its inference-only last-step path (steps == 1).
+  Tensor TemporalBranch(const Tensor& x, int64_t steps) const;
   Tensor SpatialBranch(const Tensor& x, const Adjacency& adj) const;
 
   TemporalModule temporal_module_;
@@ -66,6 +80,8 @@ class StModel : public Module {
 
   // x: [B, T, N, 1]; time_features: [B, T, 3] (see TimeOfDayFeatures).
   // Adjacencies may be dense tensors or SparseCsr (city-scale graphs).
+  // Both outputs come from the last block's last time step, so every block
+  // computes only the steps that one reads (StBlock::InputSteps).
   Output Forward(const Tensor& x, const Tensor& time_features,
                  const Adjacency& adj_spatial,
                  const Adjacency& adj_temporal) const;
@@ -74,6 +90,10 @@ class StModel : public Module {
   std::vector<Module*> Children() override;
 
  private:
+  // Builds the full-window reference forward the pruned one is tested
+  // against.
+  friend class StModelTestPeer;
+
   StsmConfig config_;
   Linear phi1_;  // Observation projection (Eq. 4).
   Linear phi2_;  // Time-embedding projection (Eq. 4).

@@ -79,6 +79,24 @@ std::vector<int> CapWindows(std::vector<int> starts, int cap) {
   return result;
 }
 
+// Eval mode for a scope (Module::SetTraining): dropout is the identity and
+// draws no masks, so validation and evaluation neither perturb their own
+// forwards nor shift the mask stream of later training epochs.
+class EvalModeScope {
+ public:
+  explicit EvalModeScope(Module* module)
+      : module_(module), was_training_(module->is_training()) {
+    module_->SetTraining(false);
+  }
+  ~EvalModeScope() { module_->SetTraining(was_training_); }
+  EvalModeScope(const EvalModeScope&) = delete;
+  EvalModeScope& operator=(const EvalModeScope&) = delete;
+
+ private:
+  Module* module_;
+  bool was_training_;
+};
+
 }  // namespace
 
 struct StsmRunner::State {
@@ -266,6 +284,7 @@ void StsmRunner::Train(ExperimentResult* result) {
   // Prediction MSE on the validation locations when they are masked.
   auto validation_loss = [&]() {
     NoGradGuard no_grad;
+    const EvalModeScope eval_mode(s.model.get());
     Rng eval_rng(config_.seed + 101);  // Fixed windows across epochs.
     const std::vector<int> starts = SampleWindowStarts(
         0, s.time_split.train_steps, s.window_spec,
@@ -389,6 +408,7 @@ void StsmRunner::Evaluate(ExperimentResult* result) {
   STSM_PROF_SCOPE("evaluate");
   State& s = *state_;
   NoGradGuard no_grad;
+  const EvalModeScope eval_mode(s.model.get());
 
   // Section 3.5: fill the unobserved region with pseudo-observations and
   // build the temporal adjacency over the full graph from them.

@@ -21,29 +21,35 @@ MultiHeadSelfAttention::MultiHeadSelfAttention(int64_t model_dim,
       << "model_dim must be divisible by num_heads";
 }
 
-Tensor MultiHeadSelfAttention::Forward(const Tensor& x) const {
+Tensor MultiHeadSelfAttention::Forward(const Tensor& x,
+                                       int64_t query_steps) const {
   STSM_PROF_SCOPE("attention.fwd");
   STSM_CHECK_EQ(x.ndim(), 3) << "attention expects [B, T, C]";
   STSM_CHECK_EQ(x.shape()[-1], model_dim_);
   const int64_t batch = x.shape()[0];
   const int64_t time = x.shape()[1];
+  if (query_steps < 0) query_steps = time;
+  STSM_CHECK(query_steps >= 1 && query_steps <= time);
 
   auto split_heads = [&](const Tensor& t) {
-    // [B, T, C] -> [B, H, T, Dh].
-    return Transpose(
-        Reshape(t, Shape({batch, time, num_heads_, head_dim_})), 1, 2);
+    // [B, S, C] -> [B, H, S, Dh].
+    return Transpose(Reshape(t, Shape({batch, t.shape()[1], num_heads_,
+                                       head_dim_})),
+                     1, 2);
   };
-  const Tensor q = split_heads(query_.Forward(x));
+  const Tensor queries =
+      query_steps == time ? x : Slice(x, 1, time - query_steps, time);
+  const Tensor q = split_heads(query_.Forward(queries));
   const Tensor k = split_heads(key_.Forward(x));
   const Tensor v = split_heads(value_.Forward(x));
 
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim_));
   const Tensor scores =
-      Mul(MatMul(q, Transpose(k, -1, -2)), scale);     // [B, H, T, T]
+      Mul(MatMul(q, Transpose(k, -1, -2)), scale);     // [B, H, Q, T]
   const Tensor weights = Softmax(scores, -1);
-  const Tensor context = MatMul(weights, v);           // [B, H, T, Dh]
+  const Tensor context = MatMul(weights, v);           // [B, H, Q, Dh]
   const Tensor merged = Reshape(Transpose(context, 1, 2),
-                                Shape({batch, time, model_dim_}));
+                                Shape({batch, query_steps, model_dim_}));
   return output_.Forward(merged);
 }
 
@@ -78,6 +84,19 @@ Tensor TransformerEncoderBlock::Forward(const Tensor& x) const {
   const Tensor ffn_out =
       ffn2_.Forward(Relu(ffn1_.Forward(norm2_.Forward(attended))));
   return Add(attended, dropout_.Forward(ffn_out));
+}
+
+Tensor TransformerEncoderBlock::ForwardLast(const Tensor& x) const {
+  STSM_PROF_SCOPE("transformer.fwd_last");
+  STSM_CHECK(!GradModeEnabled() && !dropout_.active())
+      << "ForwardLast is inference-only";
+  const int64_t time = x.shape()[1];
+  const Tensor attended =
+      Add(Slice(x, 1, time - 1, time),
+          attention_.Forward(norm1_.Forward(x), /*query_steps=*/1));
+  const Tensor ffn_out =
+      ffn2_.Forward(Relu(ffn1_.Forward(norm2_.Forward(attended))));
+  return Add(attended, ffn_out);
 }
 
 std::vector<Tensor> TransformerEncoderBlock::Parameters() const {

@@ -19,8 +19,10 @@ class MultiHeadSelfAttention : public Module {
  public:
   MultiHeadSelfAttention(int64_t model_dim, int num_heads, Rng* rng);
 
-  // x: [..., T, C] -> [..., T, C].
-  Tensor Forward(const Tensor& x) const;
+  // x: [B, T, C] -> [B, Q, C]: the outputs at the last Q = `query_steps`
+  // positions (all T by default), each attending over all T keys. Every
+  // output equals the matching row of the full-window result bitwise.
+  Tensor Forward(const Tensor& x, int64_t query_steps = -1) const;
 
   std::vector<Tensor> Parameters() const override;
   std::vector<Module*> Children() override;
@@ -41,6 +43,16 @@ class TransformerEncoderBlock : public Module {
                           Rng* rng, float dropout = 0.0f);
 
   Tensor Forward(const Tensor& x) const;
+
+  // x: [B, T, C] -> [B, 1, C], bitwise the last step of Forward(x) at a
+  // fraction of its cost: LayerNorm, keys and values run over all T steps;
+  // the query, scores, softmax, output projection and FFN over the last
+  // step only. Inference only — run under NoGradGuard with dropout
+  // inactive (checked): under grad mode the pruned Linear weight gradients
+  // would sum their rows in different k-blocks than Forward's.
+  Tensor ForwardLast(const Tensor& x) const;
+
+  bool dropout_active() const { return dropout_.active(); }
 
   std::vector<Tensor> Parameters() const override;
   std::vector<Module*> Children() override;

@@ -7,7 +7,7 @@ namespace stsm {
 DropoutLayer::DropoutLayer(float p, uint64_t seed) : p_(p), rng_(seed) {}
 
 Tensor DropoutLayer::Forward(const Tensor& x) const {
-  if (!is_training() || p_ <= 0.0f) return x;
+  if (!active()) return x;
   return Dropout(x, p_, &rng_);
 }
 

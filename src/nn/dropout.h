@@ -25,6 +25,8 @@ class DropoutLayer : public Module {
   std::vector<Tensor> Parameters() const override { return {}; }
 
   float p() const { return p_; }
+  // True when Forward draws a mask: training mode with p > 0.
+  bool active() const { return is_training() && p_ > 0.0f; }
 
  private:
   float p_;

@@ -192,12 +192,43 @@ void SpmmBackwardOracle(const float* a, int64_t n, int64_t m,
   }
 }
 
+// Element offset (relative to data()) of each trailing [m, c] matrix of x,
+// one per batch in logical order, when every matrix is row-major — what a
+// batch-strided view such as a time slice of a [B, T, N, C] activation
+// looks like; the kernels then read x and write dX in place. Returns false
+// for any other layout. Views never alias elements (there is no stride-0
+// broadcast view), so the batches' windows are disjoint.
+bool RowMajorBatchOffsets(const TensorImpl& x, std::vector<int64_t>* out) {
+  const int nd = x.shape.ndim();
+  const int64_t m = x.shape[-2];
+  const int64_t c = x.shape[-1];
+  if ((c > 1 && x.strides[nd - 1] != 1) || (m > 1 && x.strides[nd - 2] != c)) {
+    return false;
+  }
+  std::vector<int64_t> offsets = {0};
+  for (int d = 0; d < nd - 2; ++d) {
+    std::vector<int64_t> next;
+    next.reserve(offsets.size() * x.shape.dims()[d]);
+    for (const int64_t base : offsets) {
+      for (int64_t i = 0; i < x.shape.dims()[d]; ++i) {
+        next.push_back(base + i * x.strides[d]);
+      }
+    }
+    offsets.swap(next);
+  }
+  *out = std::move(offsets);
+  return true;
+}
+
 // ---- Autograd nodes ---------------------------------------------------------
 
 class SpmmNode : public Node {
  public:
-  SpmmNode(ImplPtr x, std::shared_ptr<CsrImpl> a)
-      : Node({std::move(x)}), a_(std::move(a)) {}
+  SpmmNode(ImplPtr x, std::vector<int64_t> x_offsets,
+           std::shared_ptr<CsrImpl> a)
+      : Node({std::move(x)}),
+        x_offsets_(std::move(x_offsets)),
+        a_(std::move(a)) {}
 
   const char* name() const override { return "spmm"; }
 
@@ -217,11 +248,11 @@ class SpmmNode : public Node {
     const int64_t n = a->rows;
     const int64_t m = a->cols;
     const int64_t c = output->shape[-1];
-    const int64_t batches = output->shape.numel() / (n * c);
+    const int64_t batches = static_cast<int64_t>(x_offsets_.size());
     const simd::KernelTable* vk = simd::Active();
     // Each task owns a disjoint block of dX rows within one batch and the
-    // batches write disjoint windows of the (contiguous) grad buffer, so the
-    // whole (batch, block) grid accumulates race-free.
+    // batches' windows of x's grad buffer are disjoint (RowMajorBatchOffsets),
+    // so the whole (batch, block) grid accumulates race-free.
     const int64_t blocks = (m + kSpmmRowBlock - 1) / kSpmmRowBlock;
     ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
       for (int64_t t = begin; t < end; ++t) {
@@ -229,7 +260,7 @@ class SpmmNode : public Node {
         const int64_t j0 = (t % blocks) * kSpmmRowBlock;
         const int64_t j1 = std::min(m, j0 + kSpmmRowBlock);
         const float* gb = gout + batch * n * c;
-        float* gxb = gx + batch * m * c;
+        float* gxb = gx + x_offsets_[batch];
         if (vk != nullptr) {
           vk->spmm_rows(trp, tci, tav, gb, gxb, j0, j1, c,
                         /*accumulate=*/true);
@@ -240,9 +271,13 @@ class SpmmNode : public Node {
     });
   }
 
-  void ReleaseSaved() override { a_.reset(); }
+  void ReleaseSaved() override {
+    a_.reset();
+    x_offsets_ = {};
+  }
 
  private:
+  std::vector<int64_t> x_offsets_;
   std::shared_ptr<CsrImpl> a_;
 };
 
@@ -443,14 +478,19 @@ Tensor Spmm(const SparseCsr& a, const Tensor& x) {
   const int64_t c = x.shape()[-1];
   STSM_CHECK_GT(c, 0);
 
-  // The contiguous fast path IS the only kernel: a strided x is compacted
-  // first (differentiably), after which every batch is a flat [cols, c]
-  // block. The adjacency is tiny next to the activations, so this mirrors
-  // what MatMul's packing loops achieve without per-element stride math.
-  const Tensor xc = Contiguous(x);
+  // The kernels walk flat row-major [cols, c] matrices, addressed per batch
+  // through an offset table, so a batch-strided view (a time slice of
+  // [B, T, N, C]) is read in place and its gradient lands in place: no copy
+  // node regroups the sum of dX contributions. Any other layout is
+  // compacted first (differentiably).
+  Tensor xc = x;
+  std::vector<int64_t> x_offsets;
+  if (!RowMajorBatchOffsets(*x.impl(), &x_offsets)) {
+    xc = Contiguous(x);
+    STSM_CHECK(RowMajorBatchOffsets(*xc.impl(), &x_offsets));
+  }
 
   const int64_t n = a.rows();
-  const int64_t m = a.cols();
   std::vector<int64_t> out_dims = x.shape().dims();
   out_dims[out_dims.size() - 2] = n;
   const Shape out_shape{std::move(out_dims)};
@@ -466,7 +506,7 @@ Tensor Spmm(const SparseCsr& a, const Tensor& x) {
   const int32_t* ci = a.col_idx();
   const float* xd = xc.data();
   float* out = result->data();
-  const int64_t batches = x.numel() / (m * c);
+  const int64_t batches = static_cast<int64_t>(x_offsets.size());
   const int64_t blocks = (n + kSpmmRowBlock - 1) / kSpmmRowBlock;
   const simd::KernelTable* vk = simd::Active();
   auto run_rows = [&](const auto* av) {
@@ -475,7 +515,7 @@ Tensor Spmm(const SparseCsr& a, const Tensor& x) {
         const int64_t batch = t / blocks;
         const int64_t i0 = (t % blocks) * kSpmmRowBlock;
         const int64_t i1 = std::min(n, i0 + kSpmmRowBlock);
-        const float* xb = xd + batch * m * c;
+        const float* xb = xd + x_offsets[batch];
         float* yb = out + batch * n * c;
         // bf16 values (serving only) keep the scalar loop.
         if constexpr (std::is_same_v<decltype(av), const float*>) {
@@ -499,7 +539,8 @@ Tensor Spmm(const SparseCsr& a, const Tensor& x) {
                   static_cast<uint64_t>(2 * batches * a.nnz() * c));
 
   if (result->requires_grad) {
-    result->grad_fn = std::make_shared<SpmmNode>(xc.impl(), a.impl());
+    result->grad_fn =
+        std::make_shared<SpmmNode>(xc.impl(), std::move(x_offsets), a.impl());
   }
   return Tensor(std::move(result));
 }

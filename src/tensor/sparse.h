@@ -97,7 +97,11 @@ class SparseCsr {
 // Differentiable with respect to x only; a is constant. Rows of a with no
 // entries yield zero output rows. Per output element the accumulation runs
 // in ascending column order, so the result is bitwise equal to SpmmOracle
-// on the equivalent dense matrix.
+// on the equivalent dense matrix. When every trailing [M, C] matrix of x is
+// row-major and no two overlap — any batch stride, e.g. a time slice of a
+// [B, T, N, C] activation — x is read in place and dX is accumulated
+// straight into x's gradient window (one graph node, no copy); other
+// layouts are compacted first.
 Tensor Spmm(const SparseCsr& a, const Tensor& x);
 
 // Dense-reference oracle for Spmm: same contract and the same skip-zero

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
@@ -181,6 +182,46 @@ TEST(StModelTest, SparseAdjacencyMatchesDenseForward) {
     const float s = sparse_out.predictions.data()[i];
     EXPECT_NEAR(s, d, 1e-5f * std::max(1.0f, std::fabs(d))) << "element " << i;
   }
+}
+
+TEST(StModelTest, TcnOutputReadsOnlyItsReceptiveField) {
+  // The last time step does not summarise the whole window: with kernel 2
+  // and dilations 1 and 2 per block, two blocks read input steps T-7..T-1.
+  // Perturbing everything earlier (values and time features) must leave
+  // predictions and final features bitwise unchanged; perturbing step T-7
+  // must not.
+  const StsmConfig config;  // T = 12, two TCN blocks.
+  const int64_t time = config.input_length;
+  Rng rng(34);
+  const StModel model(config, &rng);
+  const int nodes = 5;
+  Rng adj_rng(35);
+  const Tensor adj = Tensor::Uniform(Shape({nodes, nodes}), 0, 0.4f, &adj_rng);
+  const Tensor x = RandomInput(2, time, nodes, 36);
+  const Tensor tf = RandomTime(2, time, 37);
+  auto perturbed = [&](const Tensor& t, int64_t end_step) {
+    Tensor copy = t.Clone();
+    const int64_t per_step = t.numel() / (t.shape()[0] * time);
+    for (int64_t b = 0; b < t.shape()[0]; ++b) {
+      for (int64_t i = 0; i < end_step * per_step; ++i) {
+        copy.data()[b * time * per_step + i] += 0.5f;
+      }
+    }
+    return copy;
+  };
+  auto same = [](const Tensor& a, const Tensor& b) {
+    const Tensor ca = a.Clone();
+    const Tensor cb = b.Clone();
+    return std::memcmp(ca.data(), cb.data(), ca.numel() * sizeof(float)) == 0;
+  };
+  const StModel::Output base = model.Forward(x, tf, adj, adj);
+  const StModel::Output outside = model.Forward(
+      perturbed(x, time - 7), perturbed(tf, time - 7), adj, adj);
+  EXPECT_TRUE(same(base.predictions, outside.predictions));
+  EXPECT_TRUE(same(base.final_features, outside.final_features));
+  const StModel::Output inside = model.Forward(
+      perturbed(x, time - 6), perturbed(tf, time - 6), adj, adj);
+  EXPECT_FALSE(same(base.predictions, inside.predictions));
 }
 
 TEST(StBlockTest, Eq12ResidualCombination) {

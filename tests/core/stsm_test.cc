@@ -194,6 +194,45 @@ TEST(StsmRunnerTest, ValidationSelectionChangesOutcome) {
   EXPECT_TRUE(std::isfinite(b.metrics.rmse));
 }
 
+TEST(StsmRunnerTest, ValidationDoesNotPerturbTrainingDropout) {
+  // Validation runs in eval mode: it neither applies dropout nor draws from
+  // the dropout mask streams, so the training trajectory is the same with
+  // selection on and off.
+  const auto dataset = TinyDataset();
+  const SpaceSplit split = SplitSpace(dataset.coords, SplitAxis::kVertical);
+  StsmConfig plain = TinyConfig();
+  plain.dropout = 0.3f;
+  StsmConfig selected = plain;
+  selected.validation_selection = true;
+  const ExperimentResult a = StsmRunner(dataset, split, plain).Run();
+  const ExperimentResult b = StsmRunner(dataset, split, selected).Run();
+  ASSERT_EQ(a.train_losses.size(), b.train_losses.size());
+  for (size_t epoch = 0; epoch < a.train_losses.size(); ++epoch) {
+    EXPECT_EQ(a.train_losses[epoch], b.train_losses[epoch])
+        << "epoch " << epoch;
+  }
+}
+
+TEST(StsmRunnerTest, EvaluationIsDropoutFree) {
+  // The init stream does not depend on the dropout rate, so untrained
+  // models with and without dropout share their weights; an eval-mode
+  // evaluation must then score them identically.
+  const auto dataset = TinyDataset();
+  const SpaceSplit split = SplitSpace(dataset.coords, SplitAxis::kVertical);
+  for (const TemporalModule module :
+       {TemporalModule::kTcn, TemporalModule::kTransformer}) {
+    StsmConfig plain = TinyConfig();
+    plain.temporal_module = module;
+    plain.epochs = 0;
+    StsmConfig with_dropout = plain;
+    with_dropout.dropout = 0.3f;
+    const ExperimentResult a = StsmRunner(dataset, split, plain).Run();
+    const ExperimentResult b = StsmRunner(dataset, split, with_dropout).Run();
+    EXPECT_EQ(a.metrics.rmse, b.metrics.rmse);
+    EXPECT_EQ(a.metrics.mae, b.metrics.mae);
+  }
+}
+
 TEST(ExperimentTest, AverageResults) {
   ExperimentResult a, b;
   a.metrics.rmse = 2.0;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "tensor/autograd.h"
 #include "tensor/grad_check.h"
 #include "tensor/ops.h"
 #include "tensor/pool.h"
@@ -122,8 +123,8 @@ TEST(SpmmTest, MatchesOracleBitwiseBatched) {
 }
 
 TEST(SpmmTest, MatchesOracleBitwiseStridedInput) {
-  // Spmm runs Contiguous() internally; the result must not depend on the
-  // input's memory layout.
+  // A transposed view's matrices are not row-major, so Spmm compacts it
+  // first; the result must not depend on the input's memory layout.
   const Tensor dense = RandomSparseDense(6, 6, /*seed=*/8);
   const SparseCsr csr = SparseCsr::FromDense(dense);
   Rng rng(9);
@@ -131,6 +132,48 @@ TEST(SpmmTest, MatchesOracleBitwiseStridedInput) {
   const Tensor view = Transpose(base, 0, 1);  // [6, 4], non-contiguous.
   ExpectBitwiseEqual(Spmm(csr, view), Spmm(csr, view.Clone()));
   ExpectBitwiseEqual(Spmm(csr, view), SpmmOracle(dense, view.Clone()));
+}
+
+TEST(SpmmTest, BatchStridedSliceReadsAndWritesInPlace) {
+  // A time slice of a [B, T, N, C] activation is batch-strided (for B > 1)
+  // but each [N, C] matrix is row-major: Spmm reads it and accumulates dX
+  // in place — one graph node, no copy — bitwise as for a compact input,
+  // with the gradient confined to the slice's window of the base buffer.
+  const int64_t time = 6, nodes = 10, channels = 4, t0 = 2, t1 = 5;
+  const Tensor dense = RandomSparseDense(nodes, nodes, /*seed=*/30);
+  const SparseCsr csr = SparseCsr::FromDense(dense);
+  for (const int64_t batch : {1, 3}) {
+    SCOPED_TRACE(batch);
+    Rng rng(31);
+    Tensor base = Tensor::Uniform(Shape({batch, time, nodes, channels}), -1,
+                                  1, &rng, /*requires_grad=*/true);
+    const Tensor upstream = Tensor::Uniform(
+        Shape({batch, t1 - t0, nodes, channels}), -1, 1, &rng);
+    const Tensor view = Slice(base, 1, t0, t1);
+    Tensor compact = view.Clone();
+    compact.set_requires_grad(true);
+
+    const uint64_t nodes_before = autograd::NodesCreated();
+    const Tensor y_view = Spmm(csr, view);
+    EXPECT_EQ(autograd::NodesCreated() - nodes_before, 1u);
+    const Tensor y_compact = Spmm(csr, compact);
+    ExpectBitwiseEqual(y_view, y_compact);
+
+    Sum(Mul(y_view, upstream)).Backward();
+    Sum(Mul(y_compact, upstream)).Backward();
+    const Tensor grad = base.GradTensor();
+    ExpectBitwiseEqual(Slice(grad, 1, t0, t1), compact.GradTensor());
+    for (int64_t b = 0; b < batch; ++b) {
+      for (int64_t t = 0; t < time; ++t) {
+        if (t >= t0 && t < t1) continue;
+        for (int64_t i = 0; i < nodes; ++i) {
+          for (int64_t c = 0; c < channels; ++c) {
+            EXPECT_EQ(Bits(grad.at({b, t, i, c})), 0u);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SpmmTest, MatchesMatMulWithinTolerance) {
