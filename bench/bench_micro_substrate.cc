@@ -195,16 +195,33 @@ void BM_TrainStepPoolReuse(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainStepPoolReuse);
 
+// One TCN conv at the model's shape (C' = 16, kernel 2, dilation 2) over a
+// 100-node batch: Arg 0 is the forward alone, Arg 1 adds the backward into
+// x, the weight and the bias.
 void BM_Conv1dTime(benchmark::State& state) {
+  const bool backward = state.range(0) != 0;
   Rng rng(2);
-  const Tensor x = Tensor::Uniform(Shape({8, 12, 100, 16}), -1, 1, &rng);
-  const Tensor w = Tensor::Uniform(Shape({16, 16, 2}), -1, 1, &rng);
-  const Tensor b = Tensor::Zeros(Shape({16}));
+  Tensor x = Tensor::Uniform(Shape({8, 12, 100, 16}), -1, 1, &rng, backward);
+  Tensor w = Tensor::Uniform(Shape({16, 16, 2}), -1, 1, &rng, backward);
+  Tensor b = Tensor::Zeros(Shape({16}), backward);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Conv1dTime(x, w, b, 2).data());
+    const Tensor y = Conv1dTime(x, w, b, 2);
+    if (backward) {
+      for (Tensor* t : {&x, &w, &b}) t->ZeroGrad();
+      Sum(y).Backward();
+    }
+    benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_Conv1dTime);
+BENCHMARK(BM_Conv1dTime)->Arg(0)->Arg(1);
+
+void BM_Conv1dTimeScalar(benchmark::State& state) {
+  // The same conv through the scalar loops; BM_Conv1dTimeScalar /
+  // BM_Conv1dTime is the vector kernels' speedup ("conv.simd_vs_scalar").
+  ScalarDispatchScope scalar_only;
+  BM_Conv1dTime(state);
+}
+BENCHMARK(BM_Conv1dTimeScalar)->Arg(0)->Arg(1);
 
 void BM_GcnlLayerForward(benchmark::State& state) {
   Rng rng(3);

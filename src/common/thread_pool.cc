@@ -57,9 +57,13 @@ void ThreadPool::ParallelFor(
     chunk_fn(begin, end);
     return;
   }
-  const int num_chunks = static_cast<int>(
-      std::min<int64_t>(threads, total));
-  const int64_t chunk_size = (total + num_chunks - 1) / num_chunks;
+  // Size the chunks for `threads` workers, then count only the non-empty
+  // ones: 5 items on 4 threads are 3 chunks of at most 2, not a fourth
+  // chunk that starts past the end.
+  const int64_t workers = std::min<int64_t>(threads, total);
+  const int64_t chunk_size = (total + workers - 1) / workers;
+  const int num_chunks =
+      static_cast<int>((total + chunk_size - 1) / chunk_size);
 
   // `remaining` is guarded by done_mutex, NOT an atomic: the waiter owns
   // the stack frame these live in, so it must not be able to observe zero

@@ -49,11 +49,22 @@ int64_t StBlock::InputSteps(int64_t keep, int64_t time) const {
   return std::min(time, keep + field - 1);
 }
 
+std::vector<int64_t> StBlock::ConvSteps(int64_t keep, int64_t time) const {
+  std::vector<int64_t> steps(tcn_stack_.size());
+  int64_t need = keep;
+  for (size_t j = tcn_stack_.size(); j-- > 0;) {
+    steps[j] = std::min(time, need);
+    need += (tcn_stack_[j]->kernel_size() - 1) * tcn_stack_[j]->dilation();
+  }
+  return steps;
+}
+
 Tensor StBlock::TemporalBranch(const Tensor& x, int64_t steps) const {
   if (temporal_module_ == TemporalModule::kTcn) {
+    const std::vector<int64_t> conv_steps = ConvSteps(steps, x.shape()[1]);
     Tensor h = x;
-    for (const auto& conv : tcn_stack_) {
-      h = conv->Forward(h);
+    for (size_t j = 0; j < tcn_stack_.size(); ++j) {
+      h = tcn_stack_[j]->Forward(h, conv_steps[j]);
       if (GradModeEnabled()) {
         h = Relu(h);
       } else {
@@ -62,7 +73,7 @@ Tensor StBlock::TemporalBranch(const Tensor& x, int64_t steps) const {
         ReluInPlace(h);
       }
     }
-    return LastSteps(h, steps);
+    return h;
   }
   // Transformer over time: [B, T, N, C] -> [B, N, T, C] -> [B*N, T, C].
   const int64_t batch = x.shape()[0];

@@ -35,8 +35,8 @@ class StBlock : public Module {
   // x: [B, T, N, C]; adjacencies are [N, N] (pre-normalised), dense or CSR.
   // Returns the block output at the last `keep` time steps, [B, keep, N, C]
   // (all T by default), bitwise equal to those steps of the full-window
-  // output. STSM-TCN computes only what they read: the conv stack over the
-  // whole input, the GCN branches over the kept steps. STSM-trans prunes
+  // output. STSM-TCN computes only what they read: each conv its
+  // ConvSteps() window, the GCN branches the kept steps. STSM-trans prunes
   // only keep == 1 at inference (no grad, dropout inactive); otherwise it
   // runs the full window and slices.
   Tensor Forward(const Tensor& x, const Adjacency& adj_spatial,
@@ -47,13 +47,20 @@ class StBlock : public Module {
   // window for the transformer.
   int64_t InputSteps(int64_t keep, int64_t time) const;
 
+  // Output steps each TCN conv computes, in stack order, for the last
+  // `keep` block outputs of a `time`-step input: walking back from the
+  // last conv, conv j keeps min(time, need) steps, then need grows by
+  // (k−1)·d_j. At the defaults: 6 and 4 of 7 steps in the first block,
+  // 3 and 1 of 4 in the second. Empty for the transformer.
+  std::vector<int64_t> ConvSteps(int64_t keep, int64_t time) const;
+
   std::vector<Tensor> Parameters() const override;
   std::vector<Module*> Children() override;
 
  private:
-  // The temporal branch's last `steps` output steps (Eq. 5): the TCN over
-  // the whole input, sliced; the transformer over all T (steps == T) or
-  // its inference-only last-step path (steps == 1).
+  // The temporal branch's last `steps` output steps (Eq. 5): the TCN with
+  // each conv over its ConvSteps() window; the transformer over all T
+  // (steps == T) or its inference-only last-step path (steps == 1).
   Tensor TemporalBranch(const Tensor& x, int64_t steps) const;
   Tensor SpatialBranch(const Tensor& x, const Adjacency& adj) const;
 

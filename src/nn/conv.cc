@@ -27,11 +27,12 @@ TemporalConv::TemporalConv(int64_t in_channels, int64_t out_channels,
   }
 }
 
-Tensor TemporalConv::Forward(const Tensor& x) const {
+Tensor TemporalConv::Forward(const Tensor& x, int64_t out_steps) const {
   STSM_CHECK_EQ(x.shape()[-1], in_channels_);
   // Conv1dTime walks raw fp32 — bf16 serving weights widen at the point of
   // use (the kernel tensor is tiny; identity handles for fp32).
-  return Conv1dTime(x, WidenToF32(weight_), WidenToF32(bias_), dilation_);
+  return Conv1dTime(x, WidenToF32(weight_), WidenToF32(bias_), dilation_,
+                    out_steps);
 }
 
 std::vector<Tensor> TemporalConv::Parameters() const {

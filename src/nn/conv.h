@@ -10,15 +10,16 @@
 namespace stsm {
 
 // Wraps Conv1dTime (tensor/ops.h): a causal dilated 1-D convolution along the
-// time axis, preserving sequence length via left zero-padding. This is the
-// building block of the TCN in STSM Eq. (5).
+// time axis with left zero-padding. This is the building block of the TCN in
+// STSM Eq. (5).
 class TemporalConv : public Module {
  public:
   TemporalConv(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
                int dilation, Rng* rng, bool use_bias = true);
 
-  // x: [B, T, N, in_channels] -> [B, T, N, out_channels].
-  Tensor Forward(const Tensor& x) const;
+  // x: [B, T, N, in_channels] -> [B, S, N, out_channels]: the last S =
+  // out_steps outputs (all T when out_steps is negative).
+  Tensor Forward(const Tensor& x, int64_t out_steps = -1) const;
 
   std::vector<Tensor> Parameters() const override;
 

@@ -94,7 +94,7 @@ std::vector<int64_t> BroadcastStrides(const TensorImpl& in, const Shape& out) {
 // element, the source element in each input. Built once with an odometer
 // walk and shared between forward and backward.
 struct BroadcastIndexTable {
-  // Empty when the corresponding input needs no mapping (same shape as out).
+  // Empty when the corresponding input needs no mapping (linear).
   std::vector<int64_t> index_a;
   std::vector<int64_t> index_b;
 };
@@ -107,7 +107,7 @@ std::vector<int64_t> BuildIndexTable(const TensorImpl& in, const Shape& out) {
 
 // True when `in` equals the trailing dimensions of `out` (after dropping
 // leading 1s), i.e. its elements repeat with period in.numel() — the common
-// bias-add pattern, handled with a modulo instead of an index table.
+// bias-add pattern, run as rows instead of through an index table.
 bool IsSuffixBroadcast(const Shape& in, const Shape& out) {
   int in_d = in.ndim() - 1;
   // Skip trailing agreement.
@@ -120,21 +120,41 @@ bool IsSuffixBroadcast(const Shape& in, const Shape& out) {
   return true;
 }
 
+// Rows shorter than this run the scalar loop: a kernel call per element
+// (a broadcast scalar operand) would cost more than it saves. Both paths
+// give the same bits.
+constexpr int64_t kMinVectorRow = 8;
+
 // Index bookkeeping shared by a broadcast binary op's forward and backward.
-// The a_same / a_suffix fast paths index the input linearly, so they also
-// require the input to be contiguous; strided views go through the table.
+// When each input is contiguous and either the whole output (linear) or a
+// suffix of it, the op runs as rows of `period` elements: row r reads a
+// linear input at r * period and a suffix input at 0. Otherwise an index
+// table maps every output element of each non-linear input.
 struct BinaryLayout {
-  int64_t n = 0, an = 0, bn = 0;
-  bool a_same = false, b_same = false;
-  bool a_suffix = false, b_suffix = false;
+  int64_t n = 0;
+  bool a_linear = false, b_linear = false;
+  bool rows = false;
+  int64_t period = 0;
   std::shared_ptr<BroadcastIndexTable> table;
 
+  int64_t num_rows() const { return period == 0 ? 0 : n / period; }
+  int64_t a_row(int64_t r) const { return a_linear ? r * period : 0; }
+  int64_t b_row(int64_t r) const { return b_linear ? r * period : 0; }
   int64_t a_index(int64_t i) const {
-    return a_same ? i : (a_suffix ? i % an : table->index_a[i]);
+    return a_linear ? i : table->index_a[i];
   }
   int64_t b_index(int64_t i) const {
-    return b_same ? i : (b_suffix ? i % bn : table->index_b[i]);
+    return b_linear ? i : table->index_b[i];
   }
+};
+
+// How an input's local derivative vectorises in BinaryNode: a constant
+// (Add/Sub: g += alpha * gout, on axpy/rows_axpy) or the other operand (Mul:
+// g += gout * other, on mul_acc). kScalar derivatives run the op's lambda.
+struct VecGrad {
+  enum Kind { kScalar, kConstant, kOtherOperand };
+  Kind kind = kScalar;
+  float alpha = 0.0f;
 };
 
 // ---- Node subclasses --------------------------------------------------------
@@ -147,19 +167,20 @@ template <typename DfA, typename DfB>
 class BinaryNode : public Node {
  public:
   BinaryNode(const char* bwd_name, ImplPtr a, ImplPtr b, BinaryLayout layout,
-             DfA dfa, DfB dfb)
+             DfA dfa, DfB dfb, VecGrad vga, VecGrad vgb)
       : Node({std::move(a), std::move(b)}),
         bwd_name_(bwd_name),
         layout_(std::move(layout)),
         dfa_(dfa),
-        dfb_(dfb) {}
+        dfb_(dfb),
+        vga_(vga),
+        vgb_(vgb) {}
 
   const char* name() const override { return bwd_name_; }
 
  protected:
   void Apply(TensorImpl* output) override {
     STSM_PROF_SCOPE(bwd_name_);
-    const BinaryLayout& l = layout_;
     TensorImpl* ai = inputs_[0].get();
     TensorImpl* bi = inputs_[1].get();
     const float* gout = output->grad();
@@ -167,41 +188,67 @@ class BinaryNode : public Node {
     const float* bv = bi->data();
     if (ai->requires_grad) {
       ai->EnsureGrad();
-      float* ga = ai->grad();
-      if (l.a_same && l.b_same) {
-        for (int64_t i = 0; i < l.n; ++i) {
-          ga[i] += gout[i] * dfa_(av[i], bv[i]);
-        }
-      } else {
-        for (int64_t i = 0; i < l.n; ++i) {
-          const int64_t ia = l.a_index(i);
-          ga[ia] += gout[i] * dfa_(av[ia], bv[l.b_index(i)]);
-        }
-      }
+      Accumulate(ai->grad(), /*side_a=*/true, vga_, dfa_, gout, av, bv);
     }
     if (bi->requires_grad) {
       bi->EnsureGrad();
-      float* gb = bi->grad();
-      if (l.a_same && l.b_same) {
-        for (int64_t i = 0; i < l.n; ++i) {
-          gb[i] += gout[i] * dfb_(av[i], bv[i]);
-        }
-      } else {
-        for (int64_t i = 0; i < l.n; ++i) {
-          const int64_t ib = l.b_index(i);
-          gb[ib] += gout[i] * dfb_(av[l.a_index(i)], bv[ib]);
-        }
-      }
+      Accumulate(bi->grad(), /*side_a=*/false, vgb_, dfb_, gout, av, bv);
     }
   }
 
   void ReleaseSaved() override { layout_.table.reset(); }
 
  private:
+  // g[side index of i] += gout[i] * df(a, b) in ascending i. The row path
+  // keeps that order for every element of g (rows ascend; a linear side
+  // takes one term per element), so both dispatch modes and both paths
+  // give the scalar loop's bits.
+  template <typename Df>
+  void Accumulate(float* g, bool side_a, VecGrad vg, Df df, const float* gout,
+                  const float* av, const float* bv) const {
+    const BinaryLayout& l = layout_;
+    if (!l.rows) {
+      for (int64_t i = 0; i < l.n; ++i) {
+        const int64_t ia = l.a_index(i);
+        const int64_t ib = l.b_index(i);
+        g[side_a ? ia : ib] += gout[i] * df(av[ia], bv[ib]);
+      }
+      return;
+    }
+    const simd::KernelTable* vk =
+        vg.kind != VecGrad::kScalar ? simd::Active() : nullptr;
+    if (vk != nullptr && vg.kind == VecGrad::kConstant) {
+      if (side_a ? l.a_linear : l.b_linear) {
+        vk->axpy(g, gout, vg.alpha, l.n);
+      } else {
+        // Suffix side: g += alpha * gout[r, :] for each row r in turn, as a
+        // one-row rows_axpy with a stride-0 coefficient.
+        vk->rows_axpy(&vg.alpha, 0, 0, gout, g, 1, l.num_rows(), l.period);
+      }
+      return;
+    }
+    if (l.period < kMinVectorRow) vk = nullptr;
+    for (int64_t r = 0; r < l.num_rows(); ++r) {
+      const float* g_row = gout + r * l.period;
+      const float* a_row = av + l.a_row(r);
+      const float* b_row = bv + l.b_row(r);
+      float* acc = g + (side_a ? l.a_row(r) : l.b_row(r));
+      if (vk == nullptr) {
+        for (int64_t j = 0; j < l.period; ++j) {
+          acc[j] += g_row[j] * df(a_row[j], b_row[j]);
+        }
+      } else {
+        vk->mul_acc(acc, g_row, side_a ? b_row : a_row, l.period);
+      }
+    }
+  }
+
   const char* bwd_name_;
   BinaryLayout layout_;
   DfA dfa_;
   DfB dfb_;
+  VecGrad vga_;
+  VecGrad vgb_;
 };
 
 template <typename Dfx>
@@ -255,17 +302,19 @@ namespace {
 // `fwd(a, b)` computes the result; `dfa(a, b)` and `dfb(a, b)` compute the
 // local partial derivatives d out / d a and d out / d b.
 //
-// Three execution strategies, fastest first: identical shapes (flat loop),
-// suffix broadcast on either side (modulo indexing), and a precomputed
-// odometer index table for arbitrary broadcasts.
+// Two execution strategies: rows (each input is the whole output or a
+// suffix of it — same shapes, bias adds) and a precomputed odometer index
+// table for arbitrary broadcasts and strided views.
 // `fwd_name` / `bwd_name` label the op in the profiler (string literals).
 // `vec` selects the op's kernel in simd::KernelTable; when dispatch is
-// active and both operands take the flat fast path the vector kernel runs
-// instead of the scalar loop (bitwise-identical results by contract).
+// active the row path runs it once per row instead of the scalar loop
+// (bitwise-identical results by contract). `vga` / `vgb` say how each
+// gradient vectorises.
 template <typename Fwd, typename DfA, typename DfB>
 Tensor BinaryOp(const char* fwd_name, const char* bwd_name, const Tensor& a,
                 const Tensor& b, Fwd fwd, DfA dfa, DfB dfb,
-                simd::BinaryKernel simd::KernelTable::*vec = nullptr) {
+                simd::BinaryKernel simd::KernelTable::*vec = nullptr,
+                VecGrad vga = {}, VecGrad vgb = {}) {
   STSM_PROF_SCOPE(fwd_name);
   STSM_CHECK(a.defined() && b.defined());
   const Shape out_shape = Shape::Broadcast(a.shape(), b.shape());
@@ -274,33 +323,45 @@ Tensor BinaryOp(const char* fwd_name, const char* bwd_name, const Tensor& a,
 
   BinaryLayout layout;
   layout.n = out_shape.numel();
-  layout.an = a.numel();
-  layout.bn = b.numel();
   const bool a_contig = a.impl()->is_contiguous();
   const bool b_contig = b.impl()->is_contiguous();
-  layout.a_same = a_contig && a.shape() == out_shape;
-  layout.b_same = b_contig && b.shape() == out_shape;
-  layout.a_suffix =
-      layout.a_same || (a_contig && IsSuffixBroadcast(a.shape(), out_shape));
-  layout.b_suffix =
-      layout.b_same || (b_contig && IsSuffixBroadcast(b.shape(), out_shape));
-  layout.table = std::make_shared<BroadcastIndexTable>();
-  if (!layout.a_suffix) {
-    layout.table->index_a = BuildIndexTable(*a.impl(), out_shape);
-  }
-  if (!layout.b_suffix) {
-    layout.table->index_b = BuildIndexTable(*b.impl(), out_shape);
+  layout.a_linear = a_contig && a.numel() == layout.n;
+  layout.b_linear = b_contig && b.numel() == layout.n;
+  layout.rows = (layout.a_linear ||
+                 (a_contig && IsSuffixBroadcast(a.shape(), out_shape))) &&
+                (layout.b_linear ||
+                 (b_contig && IsSuffixBroadcast(b.shape(), out_shape)));
+  if (layout.rows) {
+    // One side is linear whenever both are suffixes, so rows tile the
+    // output exactly.
+    layout.period = std::min(a.numel(), b.numel());
+  } else {
+    layout.table = std::make_shared<BroadcastIndexTable>();
+    if (!layout.a_linear) {
+      layout.table->index_a = BuildIndexTable(*a.impl(), out_shape);
+    }
+    if (!layout.b_linear) {
+      layout.table->index_b = BuildIndexTable(*b.impl(), out_shape);
+    }
   }
 
   const float* ad = a.data();
   const float* bd = b.data();
   float* out = result->data();
-  if (layout.a_same && layout.b_same) {
-    const simd::KernelTable* vk = vec != nullptr ? simd::Active() : nullptr;
-    if (vk != nullptr) {
-      (vk->*vec)(ad, bd, out, layout.n);
-    } else {
-      for (int64_t i = 0; i < layout.n; ++i) out[i] = fwd(ad[i], bd[i]);
+  if (layout.rows) {
+    const simd::KernelTable* vk =
+        vec != nullptr && layout.period >= kMinVectorRow ? simd::Active()
+                                                         : nullptr;
+    const int64_t p = layout.period;
+    for (int64_t r = 0; r < layout.num_rows(); ++r) {
+      const float* a_row = ad + layout.a_row(r);
+      const float* b_row = bd + layout.b_row(r);
+      float* out_row = out + r * p;
+      if (vk != nullptr) {
+        (vk->*vec)(a_row, b_row, out_row, p);
+      } else {
+        for (int64_t j = 0; j < p; ++j) out_row[j] = fwd(a_row[j], b_row[j]);
+      }
     }
   } else {
     for (int64_t i = 0; i < layout.n; ++i) {
@@ -310,7 +371,7 @@ Tensor BinaryOp(const char* fwd_name, const char* bwd_name, const Tensor& a,
 
   if (result->requires_grad) {
     result->grad_fn = std::make_shared<BinaryNode<DfA, DfB>>(
-        bwd_name, a.impl(), b.impl(), std::move(layout), dfa, dfb);
+        bwd_name, a.impl(), b.impl(), std::move(layout), dfa, dfb, vga, vgb);
   }
   return Tensor(std::move(result));
 }
@@ -359,21 +420,24 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   return BinaryOp(
       "add.fwd", "add.bwd", a, b, [](float x, float y) { return x + y; },
       [](float, float) { return 1.0f; }, [](float, float) { return 1.0f; },
-      &simd::KernelTable::add);
+      &simd::KernelTable::add, {VecGrad::kConstant, 1.0f},
+      {VecGrad::kConstant, 1.0f});
 }
 
 Tensor Sub(const Tensor& a, const Tensor& b) {
   return BinaryOp(
       "sub.fwd", "sub.bwd", a, b, [](float x, float y) { return x - y; },
       [](float, float) { return 1.0f; }, [](float, float) { return -1.0f; },
-      &simd::KernelTable::sub);
+      &simd::KernelTable::sub, {VecGrad::kConstant, 1.0f},
+      {VecGrad::kConstant, -1.0f});
 }
 
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOp(
       "mul.fwd", "mul.bwd", a, b, [](float x, float y) { return x * y; },
       [](float, float y) { return y; }, [](float x, float) { return x; },
-      &simd::KernelTable::mul);
+      &simd::KernelTable::mul, {VecGrad::kOtherOperand},
+      {VecGrad::kOtherOperand});
 }
 
 Tensor Div(const Tensor& a, const Tensor& b) {
@@ -460,8 +524,11 @@ Tensor Sigmoid(const Tensor& x) {
       "sigmoid.fwd", "sigmoid.bwd", x,
       [](float v) {
         // Numerically stable logistic.
-        return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
-                         : std::exp(v) / (1.0f + std::exp(v));
+        if (v >= 0.0f) return 1.0f / (1.0f + std::exp(-v));
+        // One libm call: with errno-setting math the compiler cannot merge
+        // two calls to std::exp(v).
+        const float e = std::exp(v);
+        return e / (1.0f + e);
       },
       [](float, float y) { return y * (1.0f - y); });
 }
@@ -1581,16 +1648,53 @@ Tensor LogSoftmax(const Tensor& x, int dim) { return Log(Softmax(x, dim)); }
 
 namespace {
 
+// Per-thread scratch for Conv1dTime's repacked weights and dW
+// accumulator: at most K * C_in * C_out floats, kept out of the pooled
+// Storage so serving adds no pooled allocation per request. ParallelFor
+// workers read (or, for dW, write disjoint rows of) the calling thread's
+// buffer.
+float* TlConvScratch(int slot, int64_t n) {
+  thread_local std::vector<float> scratch[2];
+  if (static_cast<int64_t>(scratch[slot].size()) < n) scratch[slot].resize(n);
+  return scratch[slot].data();
+}
+
+// Copies a [C_out, C_in, K] conv weight (or its gradient) into the layout a
+// vector kernel reads contiguously: [K][C_out][C_in] when out_major (dX,
+// dW), else [K][C_in][C_out] (the forward).
+void RepackConvWeight(const float* w, int64_t c_out, int64_t c_in,
+                      int64_t kernel, bool out_major, float* packed) {
+  for (int64_t co = 0; co < c_out; ++co) {
+    for (int64_t ci = 0; ci < c_in; ++ci) {
+      for (int64_t kk = 0; kk < kernel; ++kk) {
+        const float v = w[(co * c_in + ci) * kernel + kk];
+        if (out_major) {
+          packed[(kk * c_out + co) * c_in + ci] = v;  // [K][C_out][C_in]
+        } else {
+          packed[(kk * c_in + ci) * c_out + co] = v;  // [K][C_in][C_out]
+        }
+      }
+    }
+  }
+}
+
+// Gradients of Conv1dTime over the `steps` computed output steps. Output
+// step s is input time t0 + s (t0 = time - steps); the steps before t0 were
+// never computed and contribute nothing. Under SIMD dispatch dX and dW run
+// on rows_axpy with repacked weights and dW is split over (kk, co) owners;
+// each gradient element still sees the scalar loops' terms in the same
+// order.
 class Conv1dNode : public Node {
  public:
   Conv1dNode(ImplPtr x, ImplPtr w, ImplPtr bias, int64_t batch, int64_t time,
-             int64_t nodes, int64_t c_in, int64_t c_out, int64_t kernel,
-             int dilation)
+             int64_t steps, int64_t nodes, int64_t c_in, int64_t c_out,
+             int64_t kernel, int dilation)
       : Node(bias ? std::vector<ImplPtr>{std::move(x), std::move(w),
                                          std::move(bias)}
                   : std::vector<ImplPtr>{std::move(x), std::move(w)}),
         batch_(batch),
         time_(time),
+        steps_(steps),
         nodes_(nodes),
         c_in_(c_in),
         c_out_(c_out),
@@ -1605,40 +1709,54 @@ class Conv1dNode : public Node {
     TensorImpl* xi = inputs_[0].get();
     TensorImpl* wi = inputs_[1].get();
     TensorImpl* biasi = inputs_.size() > 2 ? inputs_[2].get() : nullptr;
-    const int64_t batch = batch_, time = time_, nodes = nodes_, c_in = c_in_,
-                  c_out = c_out_, kernel = kernel_;
+    const int64_t batch = batch_, time = time_, steps = steps_,
+                  nodes = nodes_, c_in = c_in_, c_out = c_out_,
+                  kernel = kernel_;
+    const int64_t t0 = time - steps;
     const int dilation = dilation_;
     const float* gout = output->grad();
     const float* xv = xi->data();
     const float* wv = wi->data();
+    const simd::KernelTable* vk = simd::Active();
 
     if (biasi != nullptr && biasi->requires_grad) {
       biasi->EnsureGrad();
       float* gb = biasi->grad();
-      for (int64_t idx = 0; idx < batch * time * nodes; ++idx) {
-        const float* g_row = gout + idx * c_out;
-        for (int64_t co = 0; co < c_out; ++co) gb[co] += g_row[co];
+      const int64_t rows = batch * steps * nodes;
+      if (vk != nullptr) {
+        // Column sums in row order: one rows_axpy row with coefficient 1.
+        const float one = 1.0f;
+        vk->rows_axpy(&one, 0, 0, gout, gb, 1, rows, c_out);
+      } else {
+        for (int64_t idx = 0; idx < rows; ++idx) {
+          const float* g_row = gout + idx * c_out;
+          for (int64_t co = 0; co < c_out; ++co) gb[co] += g_row[co];
+        }
       }
     }
     if (wi->requires_grad) {
       wi->EnsureGrad();
       float* gw = wi->grad();
-      for (int64_t b = 0; b < batch; ++b) {
-        for (int64_t t = 0; t < time; ++t) {
-          const float* g_bt = gout + (b * time + t) * nodes * c_out;
-          for (int64_t kk = 0; kk < kernel; ++kk) {
-            const int64_t t_in = t - (kernel - 1 - kk) * dilation;
-            if (t_in < 0) continue;
-            const float* x_bt = xv + (b * time + t_in) * nodes * c_in;
-            for (int64_t n = 0; n < nodes; ++n) {
-              const float* x_row = x_bt + n * c_in;
-              const float* g_row = g_bt + n * c_out;
-              for (int64_t co = 0; co < c_out; ++co) {
-                const float g = g_row[co];
-                if (g == 0.0f) continue;
-                float* gw_row = gw + (co * c_in) * kernel;
-                for (int64_t ci = 0; ci < c_in; ++ci) {
-                  gw_row[ci * kernel + kk] += g * x_row[ci];
+      if (vk != nullptr) {
+        WeightGradVector(vk, gout, xv, gw);
+      } else {
+        for (int64_t b = 0; b < batch; ++b) {
+          for (int64_t s = 0; s < steps; ++s) {
+            const float* g_bt = gout + (b * steps + s) * nodes * c_out;
+            for (int64_t kk = 0; kk < kernel; ++kk) {
+              const int64_t t_in = t0 + s - (kernel - 1 - kk) * dilation;
+              if (t_in < 0) continue;
+              const float* x_bt = xv + (b * time + t_in) * nodes * c_in;
+              for (int64_t n = 0; n < nodes; ++n) {
+                const float* x_row = x_bt + n * c_in;
+                const float* g_row = g_bt + n * c_out;
+                for (int64_t co = 0; co < c_out; ++co) {
+                  const float g = g_row[co];
+                  if (g == 0.0f) continue;
+                  float* gw_row = gw + (co * c_in) * kernel;
+                  for (int64_t ci = 0; ci < c_in; ++ci) {
+                    gw_row[ci * kernel + kk] += g * x_row[ci];
+                  }
                 }
               }
             }
@@ -1649,15 +1767,27 @@ class Conv1dNode : public Node {
     if (xi->requires_grad) {
       xi->EnsureGrad();
       float* gx = xi->grad();
+      // [K][C_out][C_in]: tap kk is the [C_out, C_in] matrix rows_axpy
+      // combines.
+      float* w_t = nullptr;
+      if (vk != nullptr) {
+        w_t = TlConvScratch(0, kernel * c_out * c_in);
+        RepackConvWeight(wv, c_out, c_in, kernel, /*out_major=*/true, w_t);
+      }
       // Parallel over batch: each thread owns a disjoint x[b] block.
       ParallelFor(0, batch, [&](int64_t begin, int64_t end) {
         for (int64_t b = begin; b < end; ++b) {
-          for (int64_t t = 0; t < time; ++t) {
-            const float* g_bt = gout + (b * time + t) * nodes * c_out;
+          for (int64_t s = 0; s < steps; ++s) {
+            const float* g_bt = gout + (b * steps + s) * nodes * c_out;
             for (int64_t kk = 0; kk < kernel; ++kk) {
-              const int64_t t_in = t - (kernel - 1 - kk) * dilation;
+              const int64_t t_in = t0 + s - (kernel - 1 - kk) * dilation;
               if (t_in < 0) continue;
               float* gx_bt = gx + (b * time + t_in) * nodes * c_in;
+              if (w_t != nullptr) {
+                vk->rows_axpy(g_bt, c_out, 1, w_t + kk * c_out * c_in, gx_bt,
+                              nodes, c_out, c_in);
+                continue;
+              }
               for (int64_t n = 0; n < nodes; ++n) {
                 const float* g_row = g_bt + n * c_out;
                 float* gx_row = gx_bt + n * c_in;
@@ -1678,14 +1808,54 @@ class Conv1dNode : public Node {
   }
 
  private:
-  int64_t batch_, time_, nodes_, c_in_, c_out_, kernel_;
+  // dW under SIMD dispatch. gw is copied into a [K][C_out][C_in] scratch,
+  // where row (kk, co) takes its (b, s, n) terms in the scalar loop's order,
+  // and is copied back. Rows have one owner each, so the split over
+  // (kk, co) keeps every element's order.
+  void WeightGradVector(const simd::KernelTable* vk, const float* gout,
+                        const float* xv, float* gw) const {
+    const int64_t batch = batch_, time = time_, steps = steps_,
+                  nodes = nodes_, c_in = c_in_, c_out = c_out_,
+                  kernel = kernel_;
+    const int64_t t0 = time - steps;
+    float* acc = TlConvScratch(1, kernel * c_out * c_in);
+    RepackConvWeight(gw, c_out, c_in, kernel, /*out_major=*/true, acc);
+    ParallelFor(0, kernel * c_out, [&](int64_t begin, int64_t end) {
+      for (int64_t b = 0; b < batch; ++b) {
+        for (int64_t s = 0; s < steps; ++s) {
+          const float* g_bt = gout + (b * steps + s) * nodes * c_out;
+          for (int64_t kk = begin / c_out; kk * c_out < end; ++kk) {
+            const int64_t t_in = t0 + s - (kernel - 1 - kk) * dilation_;
+            if (t_in < 0) continue;
+            const float* x_bt = xv + (b * time + t_in) * nodes * c_in;
+            const int64_t co_begin = std::max(begin - kk * c_out, int64_t{0});
+            const int64_t co_end = std::min(end - kk * c_out, c_out);
+            // Row co of this tap: += sum_n dY[n, co] * x[n, :].
+            vk->rows_axpy(g_bt + co_begin, 1, c_out, x_bt,
+                          acc + (kk * c_out + co_begin) * c_in,
+                          co_end - co_begin, nodes, c_in);
+          }
+        }
+      }
+    });
+    for (int64_t co = 0; co < c_out; ++co) {
+      for (int64_t ci = 0; ci < c_in; ++ci) {
+        for (int64_t kk = 0; kk < kernel; ++kk) {
+          gw[(co * c_in + ci) * kernel + kk] =
+              acc[(kk * c_out + co) * c_in + ci];
+        }
+      }
+    }
+  }
+
+  int64_t batch_, time_, steps_, nodes_, c_in_, c_out_, kernel_;
   int dilation_;
 };
 
 }  // namespace
 
 Tensor Conv1dTime(const Tensor& xin, const Tensor& win, const Tensor& bin,
-                  int dilation) {
+                  int dilation, int64_t out_steps) {
   STSM_PROF_SCOPE("conv1d.fwd");
   STSM_CHECK(xin.defined() && win.defined());
   // The window kernel below addresses all three operands linearly.
@@ -1706,25 +1876,42 @@ Tensor Conv1dTime(const Tensor& xin, const Tensor& win, const Tensor& bin,
   if (bias.defined()) {
     STSM_CHECK_EQ(bias.numel(), c_out);
   }
+  const int64_t steps = out_steps < 0 ? time : out_steps;
+  STSM_CHECK(steps >= 1 && steps <= time)
+      << "out_steps " << out_steps << " of " << time;
+  const int64_t t0 = time - steps;
 
-  const Shape out_shape({batch, time, nodes, c_out});
+  const Shape out_shape({batch, steps, nodes, c_out});
   std::vector<ImplPtr> inputs = {x.impl(), weight.impl()};
   if (bias.defined()) inputs.push_back(bias.impl());
-  // The kernel accumulates window contributions, so it must start zeroed.
-  ImplPtr result = internal::MakeResult(out_shape, inputs);
+  const simd::KernelTable* vk = simd::Active();
+  // The scalar kernel accumulates window contributions, so it must start
+  // zeroed; the vector kernel writes every element.
+  ImplPtr result =
+      internal::MakeResult(out_shape, inputs, /*zero=*/vk == nullptr);
 
   const float* xd = x.data();
   const float* wd = weight.data();
   const float* biasd = bias.defined() ? bias.data() : nullptr;
   float* out = result->data();
+  float* w_packed = nullptr;  // [K][C_in][C_out] for the vector kernel.
+  if (vk != nullptr) {
+    w_packed = TlConvScratch(0, kernel * c_in * c_out);
+    RepackConvWeight(wd, c_out, c_in, kernel, /*out_major=*/false, w_packed);
+  }
 
-  // out[b,t,n,co] = bias[co]
-  //   + sum_{kk,ci} w[co,ci,kk] * x[b, t - (K-1-kk)*dilation, n, ci]
-  ParallelFor(0, batch * time, [&](int64_t begin, int64_t end) {
-    for (int64_t bt = begin; bt < end; ++bt) {
-      const int64_t b = bt / time;
-      const int64_t t = bt % time;
-      float* out_bt = out + bt * nodes * c_out;
+  // out[b,s,n,co] = bias[co]
+  //   + sum_{kk,ci} w[co,ci,kk] * x[b, t0 + s - (K-1-kk)*dilation, n, ci]
+  ParallelFor(0, batch * steps, [&](int64_t begin, int64_t end) {
+    for (int64_t bs = begin; bs < end; ++bs) {
+      const int64_t b = bs / steps;
+      const int64_t t = t0 + bs % steps;
+      float* out_bt = out + bs * nodes * c_out;
+      if (w_packed != nullptr) {
+        vk->conv_time_rows(xd + b * time * nodes * c_in, w_packed, biasd,
+                           out_bt, t, dilation, kernel, nodes, c_in, c_out);
+        continue;
+      }
       if (biasd != nullptr) {
         for (int64_t n = 0; n < nodes; ++n) {
           for (int64_t co = 0; co < c_out; ++co) {
@@ -1755,7 +1942,7 @@ Tensor Conv1dTime(const Tensor& xin, const Tensor& win, const Tensor& bin,
   if (result->requires_grad) {
     result->grad_fn = std::make_shared<Conv1dNode>(
         x.impl(), weight.impl(), bias.defined() ? bias.impl() : nullptr,
-        batch, time, nodes, c_in, c_out, kernel, dilation);
+        batch, time, steps, nodes, c_in, c_out, kernel, dilation);
   }
   return Tensor(std::move(result));
 }

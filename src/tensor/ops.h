@@ -142,11 +142,14 @@ Tensor LogSoftmax(const Tensor& x, int dim);
 
 // Causal dilated 1-D convolution over the time axis of a [B, T, N, C_in]
 // tensor. `weight` is [C_out, C_in, K]; `bias` is [C_out] (may be undefined
-// for no bias). The output is [B, T, N, C_out]; positions before the window
-// start read zeros (left zero-padding), so sequence length is preserved —
-// this matches the zero-padded dilated TCN of STSM Eq. (5).
+// for no bias). Positions before the window start read zeros (left
+// zero-padding) — the zero-padded dilated TCN of STSM Eq. (5). Only the last
+// `out_steps` outputs are computed (1 <= out_steps <= T; negative means T):
+// the output is [B, out_steps, N, C_out], bitwise equal to the last
+// out_steps steps of the full-length convolution, and so are the gradients
+// when only those steps are read.
 Tensor Conv1dTime(const Tensor& x, const Tensor& weight, const Tensor& bias,
-                  int dilation);
+                  int dilation, int64_t out_steps = -1);
 
 // Inverted dropout: at training time zeroes entries with probability `p` and
 // scales survivors by 1/(1-p); at p <= 0 returns x unchanged.

@@ -24,6 +24,11 @@
 //  - spmm_rows (the CSR gather behind Spmm forward and backward) is BITWISE
 //    identical to the scalar SpMM kernels: per output element the same
 //    multiplies and adds in the same order, vectorised across columns only.
+//  - conv_time_rows (Conv1dTime forward), rows_axpy (its dX, dW and bias
+//    gradient) and mul_acc (Mul's gradient) are BITWISE identical to the
+//    scalar loops in ops.cc: each output element sees the same rounded
+//    multiplies and adds in the same order, vectorised across channels or
+//    elements only.
 //  - gemm_micro uses FMA and a wider tile, so PackedGemm under SIMD is
 //    ULP-bounded against scalar PackedGemm; within one dispatch mode it
 //    stays bitwise reproducible and stride/thread-count independent.
@@ -93,6 +98,35 @@ struct KernelTable {
                     const float* values, const float* x, float* y,
                     int64_t row_begin, int64_t row_end, int64_t c,
                     bool accumulate);
+
+  // ---- Temporal convolution and gradients (bitwise-exact vs scalar) ----
+  // One (b, t) slab of Conv1dTime's forward, over all `nodes` rows of
+  // batch b. x_b is x[b] ([T, nodes, c_in] row-major); w_packed holds the
+  // weights as [kernel][c_in][c_out]; bias may be nullptr. For each node n
+  // and channel co:
+  //   y[n, co] = (bias ? bias[co] : +0.0) + acc_0 + acc_1 + ...
+  // in ascending tap kk over the taps with t_in = t - (kernel-1-kk) *
+  // dilation >= 0, where acc_kk = sum_ci w_packed[kk, ci, co] *
+  // x_b[t_in, n, ci] starts from +0.0 and adds in ascending ci. Each term is
+  // a rounded multiply then a rounded add (no FMA): the scalar sequence.
+  void (*conv_time_rows)(const float* x_b, const float* w_packed,
+                         const float* bias, float* y, int64_t t,
+                         int64_t dilation, int64_t kernel, int64_t nodes,
+                         int64_t c_in, int64_t c_out);
+  // For rows i in [0, rows), with b and y row-major and c wide:
+  //   y[i, :] += sum_j a[i * a_row + j * a_col] * b[j, :]
+  // over j in [0, inner) in ascending order, skipping terms whose a value
+  // compares equal to 0 — a chain of axpy calls per row, with the row held
+  // in registers. Conv1dTime's dX (a = dY, b = the [C_out][C_in] weight tap)
+  // and dW (a = dY transposed, b = x) run on it, and so do the bias
+  // gradients of Conv1dTime and Add/Sub: one row with a stride-0
+  // coefficient of ±1, whose product is exact (1 * NaN only quiets the NaN,
+  // which the add does anyway).
+  void (*rows_axpy)(const float* a, int64_t a_row, int64_t a_col,
+                    const float* b, float* y, int64_t rows, int64_t inner,
+                    int64_t c);
+  // x[i] += y[i] * z[i]: a rounded multiply then a rounded add.
+  void (*mul_acc)(float* x, const float* y, const float* z, int64_t n);
 
   const char* isa;  // e.g. "avx2+fma"
 };

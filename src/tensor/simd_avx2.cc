@@ -6,8 +6,9 @@
 //
 // Exactness rules (see simd.h): elementwise kernels use only operations the
 // hardware rounds identically to their scalar counterparts (add/sub/mul/div/
-// sqrt/compare-blend), never FMA, so they are bitwise-exact; so is the CSR
-// gather, which only vectorises across columns. The GEMM
+// sqrt/compare-blend), never FMA, so they are bitwise-exact; so are the CSR
+// gather, the temporal convolution and the gradient accumulators, which only
+// vectorise across columns or elements. The GEMM
 // microkernel and softmax/sum deliberately trade bitwise equality for speed
 // (FMA tiles, lane-split accumulation, polynomial exp) and are ULP-bounded.
 
@@ -502,6 +503,130 @@ void SpmmRowsK(const int32_t* row_ptr, const int32_t* col_idx,
   }
 }
 
+// ---- Temporal convolution ---------------------------------------------------
+
+// Conv1dTime forward for one (b, t) slab. Output channel tiles (16 in two
+// ymm registers, then 8, then a scalar tail) hold the running output and the
+// current tap's partial sum across the channel loop; the packed weight rows
+// are contiguous in c_out. Per element this is the scalar kernel's sequence:
+// the tap sum starts at +0.0 and adds w * x in ascending ci (mul then add),
+// then joins the output in ascending tap order.
+void ConvTimeRowsK(const float* x_b, const float* w_packed, const float* bias,
+                   float* y, int64_t t, int64_t dilation, int64_t kernel,
+                   int64_t nodes, int64_t c_in, int64_t c_out) {
+  const __m256 zero = _mm256_setzero_ps();
+  for (int64_t n = 0; n < nodes; ++n) {
+    float* yrow = y + n * c_out;
+    int64_t co = 0;
+    for (; co + 16 <= c_out; co += 16) {
+      __m256 out0 = bias != nullptr ? _mm256_loadu_ps(bias + co) : zero;
+      __m256 out1 = bias != nullptr ? _mm256_loadu_ps(bias + co + 8) : zero;
+      for (int64_t kk = 0; kk < kernel; ++kk) {
+        const int64_t t_in = t - (kernel - 1 - kk) * dilation;
+        if (t_in < 0) continue;  // Left zero-padding (causal).
+        const float* xrow = x_b + (t_in * nodes + n) * c_in;
+        const float* w = w_packed + kk * c_in * c_out + co;
+        __m256 acc0 = zero;
+        __m256 acc1 = zero;
+        for (int64_t ci = 0; ci < c_in; ++ci, w += c_out) {
+          const __m256 xv = _mm256_set1_ps(xrow[ci]);
+          acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(_mm256_loadu_ps(w), xv));
+          acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(_mm256_loadu_ps(w + 8), xv));
+        }
+        out0 = _mm256_add_ps(out0, acc0);
+        out1 = _mm256_add_ps(out1, acc1);
+      }
+      _mm256_storeu_ps(yrow + co, out0);
+      _mm256_storeu_ps(yrow + co + 8, out1);
+    }
+    if (co + 8 <= c_out) {
+      __m256 out = bias != nullptr ? _mm256_loadu_ps(bias + co) : zero;
+      for (int64_t kk = 0; kk < kernel; ++kk) {
+        const int64_t t_in = t - (kernel - 1 - kk) * dilation;
+        if (t_in < 0) continue;
+        const float* xrow = x_b + (t_in * nodes + n) * c_in;
+        const float* w = w_packed + kk * c_in * c_out + co;
+        __m256 acc = zero;
+        for (int64_t ci = 0; ci < c_in; ++ci, w += c_out) {
+          acc = _mm256_add_ps(
+              acc, _mm256_mul_ps(_mm256_loadu_ps(w), _mm256_set1_ps(xrow[ci])));
+        }
+        out = _mm256_add_ps(out, acc);
+      }
+      _mm256_storeu_ps(yrow + co, out);
+      co += 8;
+    }
+    for (; co < c_out; ++co) {
+      float out = bias != nullptr ? bias[co] : 0.0f;
+      for (int64_t kk = 0; kk < kernel; ++kk) {
+        const int64_t t_in = t - (kernel - 1 - kk) * dilation;
+        if (t_in < 0) continue;
+        const float* xrow = x_b + (t_in * nodes + n) * c_in;
+        const float* w = w_packed + kk * c_in * c_out + co;
+        float acc = 0.0f;
+        for (int64_t ci = 0; ci < c_in; ++ci) acc += w[ci * c_out] * xrow[ci];
+        out += acc;
+      }
+      yrow[co] = out;
+    }
+  }
+}
+
+// Row tiles of y (16 columns in two ymm registers, then 8, then a scalar
+// tail) stay in registers across the j loop; each term is mul then add in
+// ascending j, skipping a == 0 like the scalar loops' `g == 0` test.
+void RowsAxpyK(const float* a, int64_t a_row, int64_t a_col, const float* b,
+               float* y, int64_t rows, int64_t inner, int64_t c) {
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* ai = a + i * a_row;
+    float* yrow = y + i * c;
+    int64_t cc = 0;
+    for (; cc + 16 <= c; cc += 16) {
+      __m256 acc0 = _mm256_loadu_ps(yrow + cc);
+      __m256 acc1 = _mm256_loadu_ps(yrow + cc + 8);
+      for (int64_t j = 0; j < inner; ++j) {
+        const float s = ai[j * a_col];
+        if (s == 0.0f) continue;
+        const __m256 sv = _mm256_set1_ps(s);
+        const float* brow = b + j * c + cc;
+        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(sv, _mm256_loadu_ps(brow)));
+        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(sv, _mm256_loadu_ps(brow + 8)));
+      }
+      _mm256_storeu_ps(yrow + cc, acc0);
+      _mm256_storeu_ps(yrow + cc + 8, acc1);
+    }
+    if (cc + 8 <= c) {
+      __m256 acc = _mm256_loadu_ps(yrow + cc);
+      for (int64_t j = 0; j < inner; ++j) {
+        const float s = ai[j * a_col];
+        if (s == 0.0f) continue;
+        acc = _mm256_add_ps(
+            acc, _mm256_mul_ps(_mm256_set1_ps(s), _mm256_loadu_ps(b + j * c + cc)));
+      }
+      _mm256_storeu_ps(yrow + cc, acc);
+      cc += 8;
+    }
+    for (; cc < c; ++cc) {
+      float acc = yrow[cc];
+      for (int64_t j = 0; j < inner; ++j) {
+        const float s = ai[j * a_col];
+        if (s == 0.0f) continue;
+        acc += s * b[j * c + cc];
+      }
+      yrow[cc] = acc;
+    }
+  }
+}
+
+void MulAccK(float* x, const float* y, const float* z, int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 t = _mm256_mul_ps(_mm256_loadu_ps(y + i), _mm256_loadu_ps(z + i));
+    _mm256_storeu_ps(x + i, _mm256_add_ps(_mm256_loadu_ps(x + i), t));
+  }
+  for (; i < n; ++i) x[i] += y[i] * z[i];
+}
+
 const KernelTable kAvx2Table = {
     /*gemm_mr=*/kMr,
     /*gemm_nr=*/kNr,
@@ -530,6 +655,9 @@ const KernelTable kAvx2Table = {
     MinRowK,
     SoftmaxRowK,
     SpmmRowsK,
+    ConvTimeRowsK,
+    RowsAxpyK,
+    MulAccK,
     /*isa=*/"avx2+fma",
 };
 

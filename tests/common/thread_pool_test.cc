@@ -1,10 +1,13 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -110,6 +113,30 @@ TEST(ThreadPoolTest, ParallelForCoversRangeAcrossSizesAndPools) {
             << total << " items";
       }
     }
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForChunksTileTheRangeInOrder) {
+  // Chunks are sized for the worker count; when that leaves fewer non-empty
+  // chunks than workers (5 items on 4 threads: 2 + 2 + 1), no empty or
+  // inverted chunk is handed out.
+  ThreadPool pool(4);
+  for (int64_t total = 1; total <= 17; ++total) {
+    std::mutex mu;
+    std::vector<std::pair<int64_t, int64_t>> chunks;
+    pool.ParallelFor(0, total, [&](int64_t begin, int64_t end) {
+      std::lock_guard<std::mutex> lock(mu);
+      chunks.emplace_back(begin, end);
+    });
+    std::sort(chunks.begin(), chunks.end());
+    int64_t next = 0;
+    for (const auto& [begin, end] : chunks) {
+      EXPECT_EQ(begin, next) << total << " items";
+      EXPECT_LT(begin, end) << total << " items";
+      next = end;
+    }
+    EXPECT_EQ(next, total);
+    EXPECT_LE(chunks.size(), 4u) << total << " items";
   }
 }
 

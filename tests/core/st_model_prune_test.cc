@@ -268,5 +268,27 @@ TEST(StModelPruneTest, InputStepsFollowTheConvStack) {
   EXPECT_EQ(trans.InputSteps(1, 12), 12);  // Attention reads every step.
 }
 
+TEST(StModelPruneTest, ConvWindowsWalkBackThroughEachConv) {
+  StsmConfig config = ConfigFor(TemporalModule::kTcn);
+  Rng rng(50);
+  const StBlock tcn(config.hidden_dim, config, &rng);
+  // StModel's windows at T = 12: the first block keeps 4 of 7 input steps,
+  // the second 1 of 4. Each conv computes only what the next one reads:
+  // 6 + 4 + 3 + 1 = 14 step outputs instead of 7 + 7 + 4 + 4 = 22.
+  EXPECT_EQ(tcn.ConvSteps(4, 7), (std::vector<int64_t>{6, 4}));
+  EXPECT_EQ(tcn.ConvSteps(1, 4), (std::vector<int64_t>{3, 1}));
+  EXPECT_EQ(tcn.InputSteps(4, 12), 7);
+  EXPECT_EQ(tcn.InputSteps(1, 12), 4);
+  // Capped at the input length when the field reaches past it.
+  EXPECT_EQ(tcn.ConvSteps(3, 4), (std::vector<int64_t>{4, 3}));
+  EXPECT_EQ(tcn.ConvSteps(12, 12), (std::vector<int64_t>{12, 12}));
+  config.tcn_kernel = 3;
+  const StBlock wide(config.hidden_dim, config, &rng);
+  EXPECT_EQ(wide.ConvSteps(1, 12), (std::vector<int64_t>{5, 1}));  // +2·2.
+  config.temporal_module = TemporalModule::kTransformer;
+  const StBlock trans(config.hidden_dim, config, &rng);
+  EXPECT_TRUE(trans.ConvSteps(1, 12).empty());
+}
+
 }  // namespace
 }  // namespace stsm

@@ -149,5 +149,90 @@ TEST(DeterminismTest, SparseRunIdenticalUnderVectorAndScalarSpmm) {
   EXPECT_EQ(vector_run.metrics.count, scalar_run.metrics.count);
 }
 
+// Scalar stand-ins for the Conv1dTime and broadcast-gradient entries, each
+// the plain loop its contract in simd.h spells out; they count their calls
+// so the test cannot pass vacuously.
+std::atomic<int64_t> g_scalar_conv_calls{0};
+void ScalarConvTimeRows(const float* x_b, const float* w_packed,
+                        const float* bias, float* y, int64_t t,
+                        int64_t dilation, int64_t kernel, int64_t nodes,
+                        int64_t c_in, int64_t c_out) {
+  g_scalar_conv_calls.fetch_add(1, std::memory_order_relaxed);
+  for (int64_t n = 0; n < nodes; ++n) {
+    for (int64_t co = 0; co < c_out; ++co) {
+      float out = bias != nullptr ? bias[co] : 0.0f;
+      for (int64_t kk = 0; kk < kernel; ++kk) {
+        const int64_t t_in = t - (kernel - 1 - kk) * dilation;
+        if (t_in < 0) continue;
+        const float* x_row = x_b + (t_in * nodes + n) * c_in;
+        float acc = 0.0f;
+        for (int64_t ci = 0; ci < c_in; ++ci) {
+          acc += w_packed[(kk * c_in + ci) * c_out + co] * x_row[ci];
+        }
+        out += acc;
+      }
+      y[n * c_out + co] = out;
+    }
+  }
+}
+
+std::atomic<int64_t> g_scalar_rows_axpy_calls{0};
+void ScalarRowsAxpy(const float* a, int64_t a_row, int64_t a_col,
+                    const float* b, float* y, int64_t rows, int64_t inner,
+                    int64_t c) {
+  g_scalar_rows_axpy_calls.fetch_add(1, std::memory_order_relaxed);
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < inner; ++j) {
+      const float s = a[i * a_row + j * a_col];
+      if (s == 0.0f) continue;
+      for (int64_t cc = 0; cc < c; ++cc) y[i * c + cc] += s * b[j * c + cc];
+    }
+  }
+}
+
+std::atomic<int64_t> g_scalar_mul_acc_calls{0};
+void ScalarMulAcc(float* x, const float* y, const float* z, int64_t n) {
+  g_scalar_mul_acc_calls.fetch_add(1, std::memory_order_relaxed);
+  for (int64_t i = 0; i < n; ++i) x[i] += y[i] * z[i];
+}
+
+// One epoch of a dense STSM-TCN run, once with the vector conv and
+// broadcast-gradient kernels and once with scalar loops in their table
+// slots; every other op dispatches the same both times (the dense GEMM's
+// FMA tiles included), so the losses and metrics must match bit for bit.
+TEST(DeterminismTest, TcnRunIdenticalUnderVectorAndScalarConvKernels) {
+  const simd::KernelTable* vector_table = simd::Supported();
+  if (vector_table == nullptr) GTEST_SKIP() << "no SIMD kernels";
+  simd::KernelTable scalar_conv = *vector_table;
+  scalar_conv.conv_time_rows = ScalarConvTimeRows;
+  scalar_conv.rows_axpy = ScalarRowsAxpy;
+  scalar_conv.mul_acc = ScalarMulAcc;
+
+  StsmConfig config = SmallConfig(12);
+  config.epochs = 1;
+  config.hidden_dim = 16;  // The benchmark's width: the 16-column tile.
+  const auto dataset = SmallDataset();
+  const SpaceSplit split = SplitSpace(dataset.coords, SplitAxis::kVertical);
+  auto run = [&](const simd::KernelTable* table) {
+    simd::SetDispatchForTesting(table);
+    StsmRunner runner(dataset, split, config);
+    const ExperimentResult result = runner.Run();
+    simd::ResetDispatch();
+    return result;
+  };
+  const ExperimentResult vector_run = run(vector_table);
+  const ExperimentResult scalar_run = run(&scalar_conv);
+  ASSERT_GT(g_scalar_conv_calls.load(), 0) << "the run never reached a conv";
+  ASSERT_GT(g_scalar_rows_axpy_calls.load(), 0);
+  ASSERT_GT(g_scalar_mul_acc_calls.load(), 0);
+
+  ASSERT_EQ(vector_run.train_losses.size(), 1u);
+  ASSERT_EQ(vector_run.train_losses.size(), scalar_run.train_losses.size());
+  EXPECT_EQ(vector_run.train_losses[0], scalar_run.train_losses[0]);
+  EXPECT_EQ(vector_run.metrics.rmse, scalar_run.metrics.rmse);
+  EXPECT_EQ(vector_run.metrics.mae, scalar_run.metrics.mae);
+  EXPECT_EQ(vector_run.metrics.count, scalar_run.metrics.count);
+}
+
 }  // namespace
 }  // namespace stsm

@@ -14,6 +14,7 @@
 #include <functional>
 #include <limits>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -165,6 +166,106 @@ TEST_F(SimdDifferentialTest, ElementwiseChainsBitwise) {
     const RunResult scalar = RunOnce(false, build);
     const RunResult vec = RunOnce(true, build);
     ExpectBitwise(scalar, vec, "elementwise chain");
+  }
+}
+
+// ---- Suffix broadcasts (bias adds): bitwise forward AND backward -------------
+
+// a [rows..., c] against b [c] or [1, c], in either argument order, with c
+// on both sides of the 8-wide vector tile. Under both dispatch modes the
+// row path must reproduce the index-table path, which a strided copy of
+// the suffix operand forces, bit for bit.
+TEST_F(SimdDifferentialTest, SuffixBroadcastBinaryBitwise) {
+  std::mt19937 rng(20251019);
+  for (int trial = 0; trial < 48; ++trial) {
+    std::uniform_int_distribution<int64_t> dim(1, 6);
+    std::uniform_int_distribution<int64_t> width(1, 21);
+    const int64_t d0 = dim(rng), d1 = dim(rng);
+    const int64_t c = trial % 4 == 0 ? 16 : width(rng);
+    const Shape big({d0, d1, c});
+    const Shape small = trial % 3 == 0 ? Shape({1, c}) : Shape({c});
+    const auto av = RandomValues(big.numel(), &rng, -2.0f, 2.0f);
+    const auto bv = RandomValues(small.numel(), &rng, 0.5f, 2.0f);
+    const int which = trial % 6;
+    const bool swapped = trial % 2 == 1;
+    auto build_for = [&](bool strided) {
+      return [&, strided]() {
+        Tensor a = Tensor::FromVector(big, std::vector<float>(av))
+                       .set_requires_grad(true);
+        Tensor b = Tensor::FromVector(small, std::vector<float>(bv))
+                       .set_requires_grad(true);
+        Tensor bb = b;
+        if (strided) {
+          // Column 0 of a [c, 2] copy: the same values at stride 2.
+          const Tensor flat = Reshape(b, Shape({c}));
+          bb = Select(Concat({Unsqueeze(flat, -1), Unsqueeze(flat, -1)}, -1),
+                      1, 0);
+          if (small.ndim() == 2) bb = Unsqueeze(bb, 0);
+        }
+        const Tensor lhs = swapped ? bb : a;
+        const Tensor rhs = swapped ? a : bb;
+        Tensor out;
+        switch (which) {
+          case 0: out = Add(lhs, rhs); break;
+          case 1: out = Sub(lhs, rhs); break;
+          case 2: out = Mul(lhs, rhs); break;
+          case 3: out = Div(lhs, rhs); break;
+          case 4: out = Maximum(lhs, rhs); break;
+          default: out = Minimum(lhs, rhs); break;
+        }
+        // Weighting the output gives every gradient row a different value.
+        out = Mul(out, Tensor::FromVector(out.shape(), std::vector<float>(av)));
+        return std::make_pair(out, std::vector<Tensor>{a, b});
+      };
+    };
+    const RunResult rows_scalar = RunOnce(false, build_for(false));
+    ExpectBitwise(rows_scalar, RunOnce(true, build_for(false)),
+                  "suffix broadcast rows");
+    ExpectBitwise(rows_scalar, RunOnce(false, build_for(true)),
+                  "rows vs index table");
+    ExpectBitwise(rows_scalar, RunOnce(true, build_for(true)),
+                  "rows vs index table, vector dispatch");
+  }
+}
+
+// ---- Conv1dTime: bitwise forward AND backward --------------------------------
+
+TEST_F(SimdDifferentialTest, Conv1dTimeBitwiseOverShapesWindowsAndViews) {
+  std::mt19937 rng(1019);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::uniform_int_distribution<int64_t> small(1, 4);
+    std::uniform_int_distribution<int64_t> chan(1, 20);
+    std::uniform_int_distribution<int64_t> len(1, 8);
+    const int64_t batch = small(rng), time = len(rng), nodes = small(rng);
+    const int64_t c_in = chan(rng), c_out = chan(rng);
+    const int64_t kernel = small(rng) % 3 + 1;
+    const int dilation = static_cast<int>(small(rng) % 3 + 1);
+    std::uniform_int_distribution<int64_t> steps_dist(1, time);
+    const int64_t steps = steps_dist(rng);
+    const bool transposed = trial % 3 == 0;  // x arrives as a strided view
+    const Shape base_shape = transposed ? Shape({batch, nodes, time, c_in})
+                                        : Shape({batch, time, nodes, c_in});
+    const auto xv = RandomValues(base_shape.numel(), &rng, -2.0f, 2.0f);
+    const auto wv = RandomValues(c_out * c_in * kernel, &rng, -1.0f, 1.0f);
+    const auto bv = RandomValues(c_out, &rng, -1.0f, 1.0f);
+    const auto dyv =
+        RandomValues(batch * steps * nodes * c_out, &rng, -1.0f, 1.0f);
+    auto build = [&]() {
+      Tensor base = Tensor::FromVector(base_shape, std::vector<float>(xv))
+                        .set_requires_grad(true);
+      Tensor w = Tensor::FromVector(Shape({c_out, c_in, kernel}),
+                                    std::vector<float>(wv))
+                     .set_requires_grad(true);
+      Tensor b = Tensor::FromVector(Shape({c_out}), std::vector<float>(bv))
+                     .set_requires_grad(true);
+      const Tensor x = transposed ? Transpose(base, 1, 2) : base;
+      Tensor out = Conv1dTime(x, w, b, dilation, steps);
+      out = Mul(out, Tensor::FromVector(out.shape(), std::vector<float>(dyv)));
+      return std::make_pair(out, std::vector<Tensor>{base, w, b});
+    };
+    const RunResult scalar = RunOnce(false, build);
+    const RunResult vec = RunOnce(true, build);
+    ExpectBitwise(scalar, vec, "conv1d");
   }
 }
 

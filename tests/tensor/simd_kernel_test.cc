@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -738,6 +739,240 @@ TEST_F(SimdKernelTest, SpmmSpecialValuesAcrossDispatch) {
     const auto vector = SpmmForwardBackward(true, af, x, w, c);
     ExpectBitwiseVec(scalar.first, vector.first, "Y finite specials");
     ExpectBitwiseVec(scalar.second, vector.second, "dX finite specials");
+  }
+}
+
+// ---- Temporal convolution and gradient accumulators ------------------------
+
+// Conv1dTime's scalar forward loop for one (b, t) slab, reading the weight
+// in its own [C_out, C_in, K] layout: the oracle for conv_time_rows, which
+// reads the [K][C_in][C_out] repack.
+void ReferenceConvTimeRows(const float* x_b, const float* w, const float* bias,
+                           float* y, int64_t t, int64_t dilation,
+                           int64_t kernel, int64_t nodes, int64_t c_in,
+                           int64_t c_out) {
+  for (int64_t n = 0; n < nodes; ++n) {
+    for (int64_t co = 0; co < c_out; ++co) {
+      y[n * c_out + co] = bias != nullptr ? bias[co] : 0.0f;
+    }
+  }
+  for (int64_t kk = 0; kk < kernel; ++kk) {
+    const int64_t t_in = t - (kernel - 1 - kk) * dilation;
+    if (t_in < 0) continue;
+    for (int64_t n = 0; n < nodes; ++n) {
+      const float* x_row = x_b + (t_in * nodes + n) * c_in;
+      for (int64_t co = 0; co < c_out; ++co) {
+        float acc = 0.0f;
+        for (int64_t ci = 0; ci < c_in; ++ci) {
+          acc += w[(co * c_in + ci) * kernel + kk] * x_row[ci];
+        }
+        y[n * c_out + co] += acc;
+      }
+    }
+  }
+}
+
+std::vector<float> PackConvWeight(const std::vector<float>& w, int64_t c_out,
+                                  int64_t c_in, int64_t kernel) {
+  std::vector<float> packed(w.size());
+  for (int64_t co = 0; co < c_out; ++co) {
+    for (int64_t ci = 0; ci < c_in; ++ci) {
+      for (int64_t kk = 0; kk < kernel; ++kk) {
+        packed[(kk * c_in + ci) * c_out + co] =
+            w[(co * c_in + ci) * kernel + kk];
+      }
+    }
+  }
+  return packed;
+}
+
+// Channel counts: every tail 1-17 on both sides (scalar tail, 8-tile,
+// 16-tile + tails) plus 24 and 32.
+TEST_F(SimdKernelTest, ConvTimeRowsBitwiseAtEveryWidth) {
+  const int64_t time = 4, nodes = 3;
+  for (int64_t c : SpmmWidths()) {
+    for (int64_t c_in : {int64_t{1}, c}) {
+      const int64_t c_out = c;
+      for (int64_t kernel = 1; kernel <= 3; ++kernel) {
+        SCOPED_TRACE("c_in " + std::to_string(c_in) + " c_out " +
+                     std::to_string(c_out) + " K " + std::to_string(kernel));
+        const auto x = RandomVec(time * nodes * c_in, &rng_);
+        const auto w = RandomVec(c_out * c_in * kernel, &rng_);
+        const auto bias = RandomVec(c_out, &rng_);
+        const auto packed = PackConvWeight(w, c_out, c_in, kernel);
+        for (int64_t dilation : {1, 2}) {
+          for (int64_t t = 0; t < time; ++t) {
+            for (const float* b : {bias.data(), static_cast<const float*>(nullptr)}) {
+              std::vector<float> got(nodes * c_out, 7.0f);
+              std::vector<float> want(nodes * c_out, 7.0f);
+              table_->conv_time_rows(x.data(), packed.data(), b, got.data(), t,
+                                     dilation, kernel, nodes, c_in, c_out);
+              ReferenceConvTimeRows(x.data(), w.data(), b, want.data(), t,
+                                    dilation, kernel, nodes, c_in, c_out);
+              ExpectBitwiseVec(got, want, "conv_time_rows");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernelTest, ConvTimeRowsSpecialValues) {
+  const int64_t time = 3, nodes = 2, kernel = 2;
+  const std::vector<float> sv = SpecialValues();
+  auto soup = [&](int64_t n, size_t offset) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (size_t i = 0; i < v.size(); ++i) v[i] = sv[(i * 5 + offset) % sv.size()];
+    return v;
+  };
+  for (int64_t c : SpmmWidths()) {
+    SCOPED_TRACE(c);
+    const auto x = soup(time * nodes * c, static_cast<size_t>(c));
+    const auto w = soup(c * c * kernel, static_cast<size_t>(c) + 1);
+    const auto bias = soup(c, 2);
+    const auto packed = PackConvWeight(w, c, c, kernel);
+    for (int64_t t = 0; t < time; ++t) {
+      std::vector<float> got(nodes * c), want(nodes * c);
+      table_->conv_time_rows(x.data(), packed.data(), bias.data(), got.data(),
+                             t, 1, kernel, nodes, c, c);
+      ReferenceConvTimeRows(x.data(), w.data(), bias.data(), want.data(), t, 1,
+                            kernel, nodes, c, c);
+      ExpectSameOrBothNan(want, got, "conv_time_rows specials");
+    }
+  }
+}
+
+// rows_axpy against its axpy-chain definition, for the operand layouts its
+// callers use (a row-major: dX; a transposed: dW; one stride-0 coefficient:
+// the bias gradients), with zeros in a (skipped terms) and every width's
+// tail.
+TEST_F(SimdKernelTest, RowsAxpyBitwiseAtEveryWidthAllLayouts) {
+  const std::vector<float> sv = SpecialValues();
+  for (int64_t c : SpmmWidths()) {
+    for (int layout = 0; layout < 3; ++layout) {
+      const bool transposed = layout == 1;
+      const bool broadcast = layout == 2;
+      for (bool specials : {false, true}) {
+        SCOPED_TRACE(std::to_string(c) + " layout " + std::to_string(layout) +
+                     (specials ? " specials" : ""));
+        const int64_t rows = broadcast ? 1 : 5, inner = 7;
+        auto a = RandomVec(rows * inner, &rng_);
+        auto b = RandomVec(inner * c, &rng_);
+        for (size_t i = 0; i < a.size(); i += 4) a[i] = i % 8 ? -0.0f : 0.0f;
+        if (specials) {
+          for (size_t i = 1; i < b.size(); i += 6) b[i] = sv[i % sv.size()];
+          for (size_t i = 2; i < a.size(); i += 9) a[i] = sv[i % sv.size()];
+        }
+        if (broadcast) a[0] = -1.0f;
+        const int64_t a_row = broadcast ? 0 : (transposed ? 1 : inner);
+        const int64_t a_col = broadcast ? 0 : (transposed ? rows : 1);
+        const auto y0 = RandomVec(rows * c, &rng_);
+        std::vector<float> got = y0, want = y0;
+        table_->rows_axpy(a.data(), a_row, a_col, b.data(), got.data(), rows,
+                          inner, c);
+        for (int64_t i = 0; i < rows; ++i) {
+          for (int64_t j = 0; j < inner; ++j) {
+            const float s = a[i * a_row + j * a_col];
+            if (s == 0.0f) continue;
+            for (int64_t cc = 0; cc < c; ++cc) {
+              want[i * c + cc] += s * b[j * c + cc];
+            }
+          }
+        }
+        ExpectSameOrBothNan(want, got, "rows_axpy");
+      }
+    }
+  }
+}
+
+TEST_F(SimdKernelTest, MulAccBitwiseAtEverySize) {
+  for (int64_t n = 0; n <= 41; ++n) {
+    SCOPED_TRACE(n);
+    const auto y = RandomVec(n, &rng_);
+    const auto z = RandomVec(n, &rng_);
+    const auto x0 = RandomVec(n, &rng_);
+    std::vector<float> got = x0, want = x0;
+    table_->mul_acc(got.data(), y.data(), z.data(), n);
+    for (int64_t i = 0; i < n; ++i) want[i] += y[i] * z[i];
+    ExpectBitwiseVec(got, want, "mul_acc");
+  }
+  const std::vector<float> sv = SpecialValues();
+  const int64_t n = static_cast<int64_t>(sv.size());
+  std::vector<float> y(sv), z(n), got(n), want(n);
+  for (int64_t i = 0; i < n; ++i) {
+    z[i] = sv[(i * 7 + 3) % n];
+    got[i] = want[i] = sv[(i * 5 + 1) % n];
+  }
+  table_->mul_acc(got.data(), y.data(), z.data(), n);
+  for (int64_t i = 0; i < n; ++i) want[i] += y[i] * z[i];
+  ExpectSameOrBothNan(want, got, "mul_acc specials");
+}
+
+// Conv1dTime forward and all three gradients through both dispatch modes,
+// for full-length and windowed outputs. Returns {y, dX, dW, db}.
+std::vector<std::vector<float>> ConvForwardBackward(
+    bool vectorized, const std::vector<float>& x, const std::vector<float>& w,
+    const std::vector<float>& b, const std::vector<float>& dy,
+    const Shape& x_shape, const Shape& w_shape, int dilation, int64_t steps) {
+  simd::SetDispatchForTesting(vectorized);
+  Tensor xt = Tensor::FromVector(x_shape, std::vector<float>(x))
+                  .set_requires_grad(true);
+  Tensor wt = Tensor::FromVector(w_shape, std::vector<float>(w))
+                  .set_requires_grad(true);
+  Tensor bt = Tensor::FromVector(Shape({w_shape[0]}), std::vector<float>(b))
+                  .set_requires_grad(true);
+  const Tensor y = Conv1dTime(xt, wt, bt, dilation, steps);
+  Sum(Mul(y, Tensor::FromVector(y.shape(), std::vector<float>(dy))))
+      .Backward();
+  std::vector<std::vector<float>> out = {
+      std::vector<float>(y.data(), y.data() + y.numel()),
+      std::vector<float>(xt.grad_data(), xt.grad_data() + xt.numel()),
+      std::vector<float>(wt.grad_data(), wt.grad_data() + wt.numel()),
+      std::vector<float>(bt.grad_data(), bt.grad_data() + bt.numel())};
+  simd::ResetDispatch();
+  return out;
+}
+
+TEST_F(SimdKernelTest, Conv1dTimeForwardBackwardBitwiseAcrossDispatch) {
+  DispatchGuard guard;
+  const char* names[] = {"y", "dX", "dW", "db"};
+  const std::vector<float> sv = SpecialValues();
+  for (bool specials : {false, true}) {
+    for (int64_t c : {1, 3, 8, 16, 17}) {
+      for (int64_t kernel : {1, 2, 3}) {
+        for (int dilation : {1, 2}) {
+          const int64_t batch = 2, time = 6, nodes = 5;
+          const int64_t steps = 1 + (c + kernel + dilation) % time;
+          SCOPED_TRACE("c " + std::to_string(c) + " K " +
+                       std::to_string(kernel) + " d " +
+                       std::to_string(dilation) + " S " +
+                       std::to_string(steps) + (specials ? " specials" : ""));
+          const Shape x_shape({batch, time, nodes, c});
+          const Shape w_shape({c, c, kernel});
+          auto values = [&](int64_t n, size_t offset) {
+            std::vector<float> v = RandomVec(n, &rng_);
+            if (specials) {
+              for (size_t i = offset % 9; i < v.size(); i += 9) {
+                v[i] = sv[(i + offset) % sv.size()];
+              }
+            }
+            return v;
+          };
+          const auto x = values(x_shape.numel(), 1);
+          const auto w = values(w_shape.numel(), 2);
+          const auto b = values(c, 3);
+          const auto dy = values(batch * steps * nodes * c, 4);
+          const auto scalar = ConvForwardBackward(false, x, w, b, dy, x_shape,
+                                                  w_shape, dilation, steps);
+          const auto vector = ConvForwardBackward(true, x, w, b, dy, x_shape,
+                                                  w_shape, dilation, steps);
+          for (size_t i = 0; i < scalar.size(); ++i) {
+            ExpectSameOrBothNan(scalar[i], vector[i], names[i]);
+          }
+        }
+      }
+    }
   }
 }
 
