@@ -80,6 +80,13 @@ std::vector<TargetPlan> BuildPlans(
     const std::vector<std::vector<float>>& source_profiles,
     const std::vector<std::vector<float>>& target_profiles, int k,
     int dtw_band) {
+  // One profile pool for the pattern search: the sources, then the targets.
+  const int num_sources = static_cast<int>(source_profiles.size());
+  std::vector<std::vector<float>> profiles = source_profiles;
+  profiles.insert(profiles.end(), target_profiles.begin(),
+                  target_profiles.end());
+  const DtwNeighbourSearch search(profiles, dtw_band);
+
   std::vector<TargetPlan> plans(targets_global.size());
   for (size_t t = 0; t < targets_global.size(); ++t) {
     TargetPlan& plan = plans[t];
@@ -95,21 +102,18 @@ std::vector<TargetPlan> BuildPlans(
     }
     plan.spatial_weights = SoftmaxOfNegative(spatial_d);
 
-    // Temporal-pattern relation: DTW between daily profiles.
-    std::vector<std::pair<double, int>> order;
-    for (size_t c = 0; c < sources_global.size(); ++c) {
-      if (static_cast<int>(c) == self_of_target[t]) continue;
-      order.emplace_back(
-          DtwDistance(target_profiles[t], source_profiles[c], dtw_band),
-          static_cast<int>(c));
+    // Temporal-pattern relation: the k nearest sources by DTW between
+    // daily profiles, DtwDistance(target, source).
+    std::vector<int> candidates;
+    for (int c = 0; c < num_sources; ++c) {
+      if (c != self_of_target[t]) candidates.push_back(c);
     }
-    const int keep = std::min<int>(k, static_cast<int>(order.size()));
-    std::partial_sort(order.begin(), order.begin() + keep, order.end());
-    std::vector<double> pattern_d(keep);
-    plan.pattern_neighbors.resize(keep);
-    for (int i = 0; i < keep; ++i) {
-      plan.pattern_neighbors[i] = order[i].second;
-      pattern_d[i] = order[i].first;
+    std::vector<double> pattern_d;
+    for (const DtwNeighbour& neighbour :
+         search.Nearest(num_sources + static_cast<int>(t), candidates, k,
+                        DtwArgumentOrder::kQueryFirst)) {
+      plan.pattern_neighbors.push_back(neighbour.index);
+      pattern_d.push_back(neighbour.distance);
     }
     plan.pattern_weights = SoftmaxOfNegative(pattern_d);
   }

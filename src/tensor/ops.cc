@@ -149,12 +149,16 @@ struct BinaryLayout {
 };
 
 // How an input's local derivative vectorises in BinaryNode: a constant
-// (Add/Sub: g += alpha * gout, on axpy/rows_axpy) or the other operand (Mul:
-// g += gout * other, on mul_acc). kScalar derivatives run the op's lambda.
+// (Add/Sub: g += alpha * gout, on axpy/rows_axpy), the other operand (Mul:
+// g += gout * other, on mul_acc) or a compare-select (Maximum/Minimum:
+// g += gout * (a >= b ? alpha : beta), on select_ge_acc, with a and b
+// swapped when `swap` is set). kScalar derivatives run the op's lambda.
 struct VecGrad {
-  enum Kind { kScalar, kConstant, kOtherOperand };
+  enum Kind { kScalar, kConstant, kOtherOperand, kSelectGe };
   Kind kind = kScalar;
   float alpha = 0.0f;
+  float beta = 0.0f;
+  bool swap = false;
 };
 
 // ---- Node subclasses --------------------------------------------------------
@@ -237,6 +241,10 @@ class BinaryNode : public Node {
         for (int64_t j = 0; j < l.period; ++j) {
           acc[j] += g_row[j] * df(a_row[j], b_row[j]);
         }
+      } else if (vg.kind == VecGrad::kSelectGe) {
+        vk->select_ge_acc(acc, g_row, vg.swap ? b_row : a_row,
+                          vg.swap ? a_row : b_row, vg.alpha, vg.beta,
+                          l.period);
       } else {
         vk->mul_acc(acc, g_row, side_a ? b_row : a_row, l.period);
       }
@@ -454,7 +462,8 @@ Tensor Maximum(const Tensor& a, const Tensor& b) {
       [](float x, float y) { return x >= y ? x : y; },
       [](float x, float y) { return x >= y ? 1.0f : 0.0f; },
       [](float x, float y) { return x >= y ? 0.0f : 1.0f; },
-      &simd::KernelTable::maximum);
+      &simd::KernelTable::maximum, {VecGrad::kSelectGe, 1.0f, 0.0f},
+      {VecGrad::kSelectGe, 0.0f, 1.0f});
 }
 
 Tensor Minimum(const Tensor& a, const Tensor& b) {
@@ -463,7 +472,9 @@ Tensor Minimum(const Tensor& a, const Tensor& b) {
       [](float x, float y) { return x <= y ? x : y; },
       [](float x, float y) { return x <= y ? 1.0f : 0.0f; },
       [](float x, float y) { return x <= y ? 0.0f : 1.0f; },
-      &simd::KernelTable::minimum);
+      // x <= y is y >= x, NaN included.
+      &simd::KernelTable::minimum, {VecGrad::kSelectGe, 1.0f, 0.0f, true},
+      {VecGrad::kSelectGe, 0.0f, 1.0f, true});
 }
 
 // Scalar right-hand operands run as unary ops so the contiguous fast path

@@ -25,10 +25,10 @@
 //    identical to the scalar SpMM kernels: per output element the same
 //    multiplies and adds in the same order, vectorised across columns only.
 //  - conv_time_rows (Conv1dTime forward), rows_axpy (its dX, dW and bias
-//    gradient) and mul_acc (Mul's gradient) are BITWISE identical to the
-//    scalar loops in ops.cc: each output element sees the same rounded
-//    multiplies and adds in the same order, vectorised across channels or
-//    elements only.
+//    gradient), mul_acc (Mul's gradient) and select_ge_acc (Maximum's and
+//    Minimum's) are BITWISE identical to the scalar loops in ops.cc: each
+//    output element sees the same rounded multiplies and adds in the same
+//    order, vectorised across channels or elements only.
 //  - gemm_micro uses FMA and a wider tile, so PackedGemm under SIMD is
 //    ULP-bounded against scalar PackedGemm; within one dispatch mode it
 //    stays bitwise reproducible and stride/thread-count independent.
@@ -127,6 +127,11 @@ struct KernelTable {
                     int64_t c);
   // x[i] += y[i] * z[i]: a rounded multiply then a rounded add.
   void (*mul_acc)(float* x, const float* y, const float* z, int64_t n);
+  // x[i] += y[i] * (u[i] >= v[i] ? t : f): an ordered compare (false on
+  // NaN, like the scalar >=), a select, a rounded multiply, a rounded add.
+  // Maximum's and Minimum's gradients, whose local derivative is 1 or 0.
+  void (*select_ge_acc)(float* x, const float* y, const float* u,
+                        const float* v, float t, float f, int64_t n);
 
   const char* isa;  // e.g. "avx2+fma"
 };

@@ -627,6 +627,22 @@ void MulAccK(float* x, const float* y, const float* z, int64_t n) {
   for (; i < n; ++i) x[i] += y[i] * z[i];
 }
 
+void SelectGeAccK(float* x, const float* y, const float* u, const float* v,
+                  float t, float f, int64_t n) {
+  const __m256 tv = _mm256_set1_ps(t);
+  const __m256 fv = _mm256_set1_ps(f);
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 ge =
+        _mm256_cmp_ps(_mm256_loadu_ps(u + i), _mm256_loadu_ps(v + i),
+                      _CMP_GE_OQ);
+    const __m256 d =
+        _mm256_mul_ps(_mm256_loadu_ps(y + i), _mm256_blendv_ps(fv, tv, ge));
+    _mm256_storeu_ps(x + i, _mm256_add_ps(_mm256_loadu_ps(x + i), d));
+  }
+  for (; i < n; ++i) x[i] += y[i] * (u[i] >= v[i] ? t : f);
+}
+
 const KernelTable kAvx2Table = {
     /*gemm_mr=*/kMr,
     /*gemm_nr=*/kNr,
@@ -658,6 +674,7 @@ const KernelTable kAvx2Table = {
     ConvTimeRowsK,
     RowsAxpyK,
     MulAccK,
+    SelectGeAccK,
     /*isa=*/"avx2+fma",
 };
 

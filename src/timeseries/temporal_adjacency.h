@@ -32,20 +32,22 @@ struct TemporalAdjacencyOptions {
 // columns (the caller fills them beforehand; see FillPseudoObservations).
 // A[i][j] = 1 means node i aggregates from node j in a GCN step.
 //
-// Only the DTW distances the top-q selection reads are computed: pairs with
-// one observed endpoint and the other observed or a target. Target x target
-// pairs and nodes in neither list cost nothing. The pairs are flattened into
-// one list and split evenly over the thread pool; each costs O(len * band)
-// for daily profiles of length len = steps_per_day.
+// Each observed and each target node is one query of an exact top-q
+// DtwNeighbourSearch over the observed nodes' daily profiles (length
+// len = steps_per_day): lower bounds skip most candidates and abandon most
+// DTWs, and each kept distance is the DtwDistance(profile[min(i, j)],
+// profile[max(i, j)], band) a full distance matrix would hold, so the edges
+// are those of ranking every such distance with ties to the lower index.
+// Queries run in parallel; nodes in neither list cost nothing.
 Tensor TemporalSimilarityAdjacency(const SeriesMatrix& series,
                                    const std::vector<int>& observed,
                                    const std::vector<int>& targets,
                                    const TemporalAdjacencyOptions& options);
 
 // DTW distances between every pair of node daily profiles; row-major
-// N x N with 0 on the diagonal. Runs the same pair loop as
-// TemporalSimilarityAdjacency over all N(N-1)/2 pairs, so each distance is
-// bitwise the one the adjacency ranks. Exposed for tests and diagnostics.
+// N x N with 0 on the diagonal. Pair (i, j), i < j, runs
+// DtwDistance(profile[i], profile[j], band), the call whose value the
+// adjacency ranks. The brute-force oracle for tests and diagnostics.
 std::vector<double> ProfileDtwDistances(const SeriesMatrix& series,
                                         int steps_per_day, int dtw_band);
 

@@ -228,6 +228,54 @@ TEST_F(SimdDifferentialTest, SuffixBroadcastBinaryBitwise) {
   }
 }
 
+// Maximum and Minimum, whose gradients run on select_ge_acc under vector
+// dispatch: every row width 1-21, full-shape and suffix operands in both
+// argument orders, over ±0, ±Inf, NaN and exact ties.
+TEST_F(SimdDifferentialTest, MaximumMinimumGradientsBitwiseWithSpecials) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> specials = {0.0f, -0.0f, inf, -inf, nan, 1.0f};
+  std::mt19937 rng(20261019);
+  for (int64_t c = 1; c <= 21; ++c) {
+    const Shape big({3, c});
+    auto av = RandomValues(big.numel(), &rng, -2.0f, 2.0f);
+    auto wv = RandomValues(big.numel(), &rng, -2.0f, 2.0f);
+    for (size_t i = 0; i < av.size(); i += 3) {
+      av[i] = specials[(i / 3 + c) % specials.size()];
+    }
+    wv[static_cast<size_t>(c) % wv.size()] = inf;
+    for (bool suffix : {false, true}) {
+      const Shape small = suffix ? Shape({c}) : big;
+      auto bv = RandomValues(small.numel(), &rng, -2.0f, 2.0f);
+      for (size_t i = 0; i < bv.size(); ++i) {
+        if (i % 4 == 1) bv[i] = specials[(i + c) % specials.size()];
+        if (i % 4 == 2) bv[i] = av[i];  // An exact tie with row 0.
+      }
+      for (bool maximum : {true, false}) {
+        for (bool swapped : {false, true}) {
+          auto build = [&]() {
+            Tensor a = Tensor::FromVector(big, std::vector<float>(av))
+                           .set_requires_grad(true);
+            Tensor b = Tensor::FromVector(small, std::vector<float>(bv))
+                           .set_requires_grad(true);
+            const Tensor& lhs = swapped ? b : a;
+            const Tensor& rhs = swapped ? a : b;
+            Tensor out = maximum ? Maximum(lhs, rhs) : Minimum(lhs, rhs);
+            // Weighting the output gives the gradients distinct values.
+            out = Mul(out, Tensor::FromVector(big, std::vector<float>(wv)));
+            return std::make_pair(out, std::vector<Tensor>{a, b});
+          };
+          SCOPED_TRACE(testing::Message()
+                       << (maximum ? "Maximum" : "Minimum") << " c=" << c
+                       << " suffix=" << suffix << " swapped=" << swapped);
+          ExpectBitwise(RunOnce(false, build), RunOnce(true, build),
+                        "maximum/minimum");
+        }
+      }
+    }
+  }
+}
+
 // ---- Conv1dTime: bitwise forward AND backward --------------------------------
 
 TEST_F(SimdDifferentialTest, Conv1dTimeBitwiseOverShapesWindowsAndViews) {

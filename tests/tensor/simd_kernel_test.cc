@@ -909,6 +909,47 @@ TEST_F(SimdKernelTest, MulAccBitwiseAtEverySize) {
   ExpectSameOrBothNan(want, got, "mul_acc specials");
 }
 
+// Maximum's and Minimum's gradient kernel against the scalar loop at every
+// width 1-21 (vector body and tail), over ±0, ±Inf, NaN, denormals and ties,
+// in both argument orders and with both {t, f} selections.
+TEST_F(SimdKernelTest, SelectGeAccBitwiseAtEveryWidth) {
+  const std::vector<float> sv = SpecialValues();
+  const int64_t ns = static_cast<int64_t>(sv.size());
+  for (int64_t n = 1; n <= 21; ++n) {
+    for (int variant = 0; variant < 3; ++variant) {
+      std::vector<float> u = RandomVec(n, &rng_);
+      std::vector<float> v = RandomVec(n, &rng_);
+      std::vector<float> y = RandomVec(n, &rng_);
+      const std::vector<float> x0 = RandomVec(n, &rng_);
+      for (int64_t i = 0; i < n; ++i) {
+        if (variant >= 1) {  // Specials in the compared operands.
+          u[i] = sv[(i * 5 + n) % ns];
+          v[i] = sv[(i * 3 + 2 * n + variant) % ns];
+        }
+        if (variant == 2) y[i] = sv[(i * 7 + 1) % ns];  // And in gout.
+        if (i % 4 == 3) v[i] = u[i];                     // Exact ties.
+      }
+      for (const auto& [t, f] :
+           std::vector<std::pair<float, float>>{{1.0f, 0.0f}, {0.0f, 1.0f}}) {
+        for (bool swapped : {false, true}) {
+          const std::vector<float>& first = swapped ? v : u;
+          const std::vector<float>& second = swapped ? u : v;
+          std::vector<float> got = x0, want = x0;
+          table_->select_ge_acc(got.data(), y.data(), first.data(),
+                                second.data(), t, f, n);
+          for (int64_t i = 0; i < n; ++i) {
+            want[i] += y[i] * (first[i] >= second[i] ? t : f);
+          }
+          SCOPED_TRACE(testing::Message() << "n=" << n << " variant="
+                                          << variant << " t=" << t
+                                          << " swapped=" << swapped);
+          ExpectBitwiseVec(got, want, "select_ge_acc");
+        }
+      }
+    }
+  }
+}
+
 // Conv1dTime forward and all three gradients through both dispatch modes,
 // for full-length and windowed outputs. Returns {y, dX, dW, db}.
 std::vector<std::vector<float>> ConvForwardBackward(

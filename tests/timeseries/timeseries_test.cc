@@ -5,6 +5,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/prof.h"
+#include "common/rng.h"
+#include "data/registry.h"
+#include "data/splits.h"
+#include "graph/geo.h"
 #include "gtest/gtest.h"
 #include "timeseries/dtw.h"
 #include "timeseries/pseudo_observations.h"
@@ -332,6 +337,49 @@ TEST(DtwBitwiseTest, MatchesFullResetReferenceOnSpecialValues) {
                             {-std::numeric_limits<float>::infinity(), 1.0f});
 }
 
+// The reference neighbour order, written out independently of the library:
+// numbers ascending, then NaN, ties to the lower index.
+bool ReferenceNeighbourLess(const std::pair<double, int>& x,
+                            const std::pair<double, int>& y) {
+  if (std::isnan(x.first) != std::isnan(y.first)) return std::isnan(y.first);
+  if (!std::isnan(x.first) && x.first != y.first) return x.first < y.first;
+  return x.second < y.second;
+}
+
+// Reference top-q selection over a dense N x N distance matrix.
+Tensor ReferenceTopQAdjacency(const std::vector<double>& dtw, int n,
+                              const std::vector<int>& observed,
+                              const std::vector<int>& targets,
+                              const TemporalAdjacencyOptions& options) {
+  Tensor adjacency = Tensor::Zeros(Shape({n, n}));
+  float* a = adjacency.data();
+  auto top_similar = [&](int node, int count) {
+    std::vector<std::pair<double, int>> candidates;
+    for (int obs : observed) {
+      if (obs == node) continue;
+      candidates.emplace_back(dtw[static_cast<size_t>(node) * n + obs], obs);
+    }
+    const int k = std::min<int>(count, static_cast<int>(candidates.size()));
+    std::partial_sort(candidates.begin(), candidates.begin() + k,
+                      candidates.end(), ReferenceNeighbourLess);
+    std::vector<int> result(k);
+    for (int q = 0; q < k; ++q) result[q] = candidates[q].second;
+    return result;
+  };
+  for (int obs : observed) {
+    for (int peer : top_similar(obs, options.q_kk)) {
+      a[static_cast<int64_t>(obs) * n + peer] = 1.0f;
+      a[static_cast<int64_t>(peer) * n + obs] = 1.0f;
+    }
+  }
+  for (int target : targets) {
+    for (int source : top_similar(target, options.q_ku)) {
+      a[static_cast<int64_t>(target) * n + source] = 1.0f;
+    }
+  }
+  return adjacency;
+}
+
 // Reference adjacency: reference DTW over every pair into a dense matrix,
 // then the top-q selection.
 Tensor ReferenceTemporalAdjacency(const SeriesMatrix& series,
@@ -352,71 +400,296 @@ Tensor ReferenceTemporalAdjacency(const SeriesMatrix& series,
       dtw[static_cast<size_t>(j) * n + i] = d;
     }
   }
-  Tensor adjacency = Tensor::Zeros(Shape({n, n}));
-  float* a = adjacency.data();
-  auto top_similar = [&](int node, int count) {
-    std::vector<std::pair<double, int>> candidates;
-    for (int obs : observed) {
-      if (obs == node) continue;
-      candidates.emplace_back(dtw[static_cast<size_t>(node) * n + obs], obs);
-    }
-    const int k = std::min<int>(count, static_cast<int>(candidates.size()));
-    std::partial_sort(candidates.begin(), candidates.begin() + k,
-                      candidates.end());
-    std::vector<int> result(k);
-    for (int q = 0; q < k; ++q) result[q] = candidates[q].second;
-    return result;
-  };
-  for (int obs : observed) {
-    for (int peer : top_similar(obs, options.q_kk)) {
-      a[static_cast<int64_t>(obs) * n + peer] = 1.0f;
-      a[static_cast<int64_t>(peer) * n + obs] = 1.0f;
-    }
-  }
-  for (int target : targets) {
-    for (int source : top_similar(target, options.q_ku)) {
-      a[static_cast<int64_t>(target) * n + source] = 1.0f;
-    }
-  }
-  return adjacency;
+  return ReferenceTopQAdjacency(dtw, n, observed, targets, options);
+}
+
+void ExpectSameAdjacency(const Tensor& actual, const Tensor& expected) {
+  ASSERT_EQ(actual.shape(), expected.shape());
+  EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                        sizeof(float) * expected.numel()),
+            0);
 }
 
 TEST(DtwBitwiseTest, TemporalAdjacencyMatchesDenseReference) {
   const int steps_per_day = 24;
   const int num_nodes = 23;
-  SeriesMatrix series(steps_per_day * 3 + 5, num_nodes);
+  SeriesMatrix clean(steps_per_day * 3 + 5, num_nodes);
   Rng rng(303);
-  for (auto& v : series.values) v = static_cast<float>(rng.Uniform(0, 10));
+  for (auto& v : clean.values) v = static_cast<float>(rng.Uniform(0, 10));
   // Duplicated columns give tied DTW distances, so the index tie-break of
   // the top-q selection decides between them.
-  for (int t = 0; t < series.num_steps; ++t) {
-    series.set(t, 7, series.at(t, 2));
-    series.set(t, 15, series.at(t, 2));
-    series.set(t, 20, series.at(t, 11));
+  for (int t = 0; t < clean.num_steps; ++t) {
+    clean.set(t, 7, clean.at(t, 2));
+    clean.set(t, 15, clean.at(t, 2));
+    clean.set(t, 20, clean.at(t, 11));
   }
   // Unsorted lists; node 9 is in neither, nodes 11 and 20 tie as sources.
   const std::vector<int> observed = {14, 2, 20, 0, 7, 11, 5, 18, 15, 3};
   const std::vector<int> targets = {6, 21, 1, 13, 4, 22, 10, 17, 8, 12, 19,
                                     16};
-  for (int band : {0, 2, 12}) {
-    for (const auto& [q_kk, q_ku] :
-         std::vector<std::pair<int, int>>{{1, 1}, {2, 3}, {4, 6}}) {
-      TemporalAdjacencyOptions options;
-      options.q_kk = q_kk;
-      options.q_ku = q_ku;
-      options.steps_per_day = steps_per_day;
-      options.dtw_band = band;
-      const Tensor expected =
-          ReferenceTemporalAdjacency(series, observed, targets, options);
-      const Tensor actual =
-          TemporalSimilarityAdjacency(series, observed, targets, options);
-      ASSERT_EQ(actual.shape(), expected.shape());
-      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                            sizeof(float) * expected.numel()),
-                0)
-          << "band=" << band << " q_kk=" << q_kk << " q_ku=" << q_ku;
+  // Non-finite slots send the queries that read them down the brute-force
+  // path and give NaN and +inf distances: an observed column (18) and a
+  // target (13) with NaN, an observed column (5) with +inf, a target (4)
+  // with -inf and +inf. The tie between 11 and 20 survives.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  SeriesMatrix special = clean;
+  special.set(3, 18, std::numeric_limits<float>::quiet_NaN());
+  special.set(30, 13, std::numeric_limits<float>::quiet_NaN());
+  special.set(8, 5, kInf);
+  special.set(9, 4, -kInf);
+  special.set(40, 4, kInf);
+  for (const SeriesMatrix* series : {&clean, &special}) {
+    for (int band : {0, 2, 12}) {
+      for (const auto& [q_kk, q_ku] : std::vector<std::pair<int, int>>{
+               {1, 1}, {2, 3}, {4, 6}, {6, 5}, {12, 12}}) {
+        TemporalAdjacencyOptions options;
+        options.q_kk = q_kk;
+        options.q_ku = q_ku;
+        options.steps_per_day = steps_per_day;
+        options.dtw_band = band;
+        SCOPED_TRACE(testing::Message()
+                     << (series == &clean ? "finite" : "non-finite")
+                     << " band=" << band << " q_kk=" << q_kk
+                     << " q_ku=" << q_ku);
+        ExpectSameAdjacency(
+            TemporalSimilarityAdjacency(*series, observed, targets, options),
+            ReferenceTemporalAdjacency(*series, observed, targets, options));
+      }
     }
   }
+}
+
+// City-shaped input: the 256-sensor PEMS08 simulation, 288-slot profiles,
+// band 12, with the first paper split's unobserved band pseudo-filled from
+// the observed sensors, as evaluation builds it.
+TEST(DtwBitwiseTest, CityTemporalAdjacencyMatchesDenseReference) {
+  const SpatioTemporalDataset dataset = MakePems08WithDensity(256);
+  const SpaceSplit split = FourSplits(dataset.coords)[0];
+  const std::vector<int> observed = split.Observed();
+  const std::vector<int>& targets = split.test;
+  SeriesMatrix series = dataset.series;
+  FillPseudoObservations(&series, PairwiseDistances(dataset.coords), targets,
+                         observed, /*max_neighbors=*/8);
+  TemporalAdjacencyOptions options;
+  options.steps_per_day = dataset.steps_per_day;
+  ASSERT_EQ(options.steps_per_day, 288);
+  ASSERT_EQ(options.dtw_band, 12);
+  const int n = series.num_nodes;
+  ASSERT_EQ(n, 256);
+  // ProfileDtwDistances is pinned to the full-reset reference DP by
+  // ProfileDistancesMatchReferenceOnEveryPair.
+  const std::vector<double> dtw =
+      ProfileDtwDistances(series, options.steps_per_day, options.dtw_band);
+
+  prof::Reset();
+  prof::SetEnabled(true);
+  for (const auto& [q_kk, q_ku] :
+       std::vector<std::pair<int, int>>{{1, 1}, {3, 2}}) {
+    options.q_kk = q_kk;
+    options.q_ku = q_ku;
+    SCOPED_TRACE(testing::Message() << "q_kk=" << q_kk << " q_ku=" << q_ku);
+    ExpectSameAdjacency(
+        TemporalSimilarityAdjacency(series, observed, targets, options),
+        ReferenceTopQAdjacency(dtw, n, observed, targets, options));
+  }
+  prof::SetEnabled(false);
+  // The lower bounds must do their job on real profiles: most candidates
+  // never start a DTW.
+  int64_t candidates = 0, started = 0, abandoned = 0;
+  for (const prof::StatSnapshot& counter : prof::TakeSnapshot().counters) {
+    if (counter.name == "dtw.candidates") candidates = counter.total_ns;
+    if (counter.name == "dtw.started") started = counter.total_ns;
+    if (counter.name == "dtw.abandoned") abandoned = counter.total_ns;
+  }
+  prof::Reset();
+  EXPECT_EQ(candidates, 2 * (static_cast<int64_t>(observed.size()) *
+                                 (observed.size() - 1) +
+                             static_cast<int64_t>(targets.size()) *
+                                 observed.size()));
+  EXPECT_GT(started, 0);
+  EXPECT_LT(started * 4, candidates);
+  EXPECT_LE(abandoned, started);
+}
+
+// Bounded DTW is the unbounded value when that is <= the bound, else +inf.
+TEST(DtwBitwiseTest, BoundedDtwIsExactOrInfinite) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(505);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = 1 + rng.UniformInt(40);
+    const int m = trial % 2 == 0 ? n : 1 + rng.UniformInt(40);
+    const std::vector<float> a = RandomSeries(n, &rng);
+    const std::vector<float> b = RandomSeries(m, &rng);
+    for (int band : {0, 1, 2, 12}) {
+      // +inf when a narrow band cannot reach (n, m) for unequal lengths.
+      const double d = DtwDistance(a, b, band);
+      for (double bound : {d, std::nextafter(d, kInf), 2.0 * d + 1.0, kInf,
+                           std::nextafter(d, -kInf), 0.5 * d, 0.0, -1.0}) {
+        const double bounded = DtwDistance(a, b, band, bound);
+        if (d <= bound) {
+          EXPECT_TRUE(SameBits(bounded, d))
+              << "n=" << n << " m=" << m << " band=" << band
+              << " bound=" << bound << ": " << bounded << " vs " << d;
+        } else {
+          EXPECT_EQ(bounded, kInf) << "n=" << n << " m=" << m
+                                   << " band=" << band << " bound=" << bound;
+        }
+      }
+    }
+  }
+}
+
+// Profiles over mixed magnitudes, so that the rounding of the LB_Keogh
+// terms and of the DP sums both matter.
+std::vector<std::vector<float>> MixedScaleProfiles(int count, int length,
+                                                   Rng* rng) {
+  std::vector<std::vector<float>> profiles(count);
+  for (auto& profile : profiles) {
+    const double scale = std::pow(10.0, rng->Uniform(-3, 6));
+    const double offset = rng->Uniform(-1, 1) * scale;
+    double walk = 0.0;
+    for (int j = 0; j < length; ++j) {
+      walk += rng->Uniform(-1, 1);
+      profile.push_back(static_cast<float>(offset + scale * walk / 8.0 +
+                                           rng->Uniform(-1e-3, 1e-3)));
+    }
+  }
+  return profiles;
+}
+
+TEST(DtwSearchTest, LbKeoghNeverExceedsDtw) {
+  Rng rng(606);
+  const int length = 48;
+  auto profiles = MixedScaleProfiles(24, length, &rng);
+  // Steps shifted by 0-13 slots: DTW aligns a shift of up to `band` at no
+  // cost, so an envelope narrower than the band shows up as a bound above
+  // the distance.
+  for (int shift = 0; shift <= 13; ++shift) {
+    std::vector<float> step(length, 0.0f);
+    for (int j = 20 + shift; j < length; ++j) step[j] = 1.0f;
+    profiles.push_back(step);
+  }
+  const int count = static_cast<int>(profiles.size());
+  for (int band : {0, 1, 2, 12, length}) {
+    const DtwNeighbourSearch search(profiles, band);
+    for (int x = 0; x < count; ++x) {
+      for (int y = 0; y < count; ++y) {
+        const double lb = search.LbKeogh(x, y);
+        EXPECT_GE(lb, 0.0);
+        EXPECT_LE(lb, DtwDistance(profiles[x], profiles[y], band))
+            << "band=" << band << " x=" << x << " y=" << y;
+        EXPECT_LE(lb, DtwDistance(profiles[y], profiles[x], band))
+            << "band=" << band << " x=" << x << " y=" << y;
+      }
+    }
+  }
+}
+
+// Nearest against every candidate's distance, sorted: same indices and the
+// same distance bits, in both argument orders, over finite profiles (the
+// bounded path) and over NaN/Inf or unequal-length ones (the fallback).
+TEST(DtwSearchTest, NearestMatchesBruteForce) {
+  Rng rng(707);
+  const int length = 36;
+  auto profiles = MixedScaleProfiles(30, length, &rng);
+  // Near-duplicates and exact duplicates: ties at the q-th place.
+  profiles[4] = profiles[3];
+  profiles[11] = profiles[3];
+  profiles[12] = profiles[10];
+  profiles[12][5] = std::nextafter(profiles[12][5], 1e9f);
+  profiles[20][7] = std::numeric_limits<float>::quiet_NaN();
+  profiles[21][0] = std::numeric_limits<float>::infinity();
+  profiles[22].resize(length - 5);
+  std::vector<int> finite_only = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                  12, 13, 14, 15};
+  std::vector<int> everything(30);  // Every profile, finite or not.
+  for (int i = 0; i < 30; ++i) everything[i] = i;
+  for (int band : {0, 3, 12}) {
+    const DtwNeighbourSearch search(profiles, band);
+    for (const std::vector<int>* pool : {&finite_only, &everything}) {
+      for (int query : {3, 10, 0, 20, 21, 22, 29}) {
+        std::vector<int> candidates;
+        for (int c : *pool) {
+          if (c != query) candidates.push_back(c);
+        }
+        for (DtwArgumentOrder order : {DtwArgumentOrder::kLowerIndexFirst,
+                                       DtwArgumentOrder::kQueryFirst}) {
+          std::vector<std::pair<double, int>> all;
+          for (int c : candidates) {
+            const bool query_first =
+                order == DtwArgumentOrder::kQueryFirst || query < c;
+            all.emplace_back(
+                DtwDistance(profiles[query_first ? query : c],
+                            profiles[query_first ? c : query], band),
+                c);
+          }
+          std::sort(all.begin(), all.end(), ReferenceNeighbourLess);
+          for (int count : {0, 1, 2, 3, 6, 40}) {
+            SCOPED_TRACE(testing::Message()
+                         << "band=" << band << " query=" << query
+                         << " count=" << count << " pool="
+                         << candidates.size() << " order="
+                         << static_cast<int>(order));
+            const std::vector<DtwNeighbour> got =
+                search.Nearest(query, candidates, count, order);
+            ASSERT_EQ(got.size(), std::min<size_t>(count, all.size()));
+            for (size_t i = 0; i < got.size(); ++i) {
+              EXPECT_EQ(got[i].index, all[i].second) << i;
+              EXPECT_TRUE(SameBits(got[i].distance, all[i].first)) << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A candidate whose bound equals the q-th distance, and whose distance
+// does too, still wins the tie on its lower index: only strict `>` may
+// stop the visit or skip a candidate. All values are small integers, so
+// every bound and distance below is exact.
+TEST(DtwSearchTest, BoundEqualToTheQthDistanceStillReachesTheTieBreak) {
+  const int length = 24;
+  std::vector<std::vector<float>> profiles(6);
+  profiles[0].assign(length, 0.0f);  // The query.
+  // Distance `length` with both bounds equal to it.
+  profiles[2].assign(length, 1.0f);
+  // Distance `length` too (every column is matched at least once), but its
+  // zero slot pulls the bounds below: visited first, kept first.
+  profiles[5].assign(length, 1.0f);
+  profiles[5][0] = 2.0f;
+  profiles[5][1] = 0.0f;
+  // Farther candidates.
+  profiles[3].assign(length, 3.0f);
+  profiles[4].assign(length, 5.0f);
+  for (int band : {0, 1, 2, 12}) {
+    const DtwNeighbourSearch search(profiles, band);
+    ASSERT_EQ(DtwDistance(profiles[0], profiles[2], band), length);
+    ASSERT_EQ(DtwDistance(profiles[0], profiles[5], band), length);
+    ASSERT_EQ(search.LbKeogh(0, 2), length);
+    ASSERT_EQ(search.LbKeogh(2, 0), length);
+    ASSERT_LT(search.LbKeogh(0, 5), length);
+    for (DtwArgumentOrder order : {DtwArgumentOrder::kLowerIndexFirst,
+                                   DtwArgumentOrder::kQueryFirst}) {
+      const std::vector<DtwNeighbour> nearest =
+          search.Nearest(0, {5, 4, 3, 2}, 1, order);
+      ASSERT_EQ(nearest.size(), 1u);
+      EXPECT_EQ(nearest[0].index, 2) << "band=" << band;
+      EXPECT_EQ(nearest[0].distance, length) << "band=" << band;
+    }
+  }
+}
+
+TEST(DtwSearchTest, NeighbourOrderPutsNanLastAndBreaksTiesByIndex) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<DtwNeighbour> v = {{kNan, 0}, {2.0, 5}, {kInf, 1}, {kNan, 3},
+                                 {2.0, 2}, {-1.0, 9}, {0.0, 4}};
+  std::sort(v.begin(), v.end(), DtwNeighbourLess);
+  const std::vector<int> order = {9, 4, 2, 5, 1, 0, 3};
+  for (size_t i = 0; i < v.size(); ++i) EXPECT_EQ(v[i].index, order[i]) << i;
+  EXPECT_FALSE(DtwNeighbourLess({kNan, 0}, {kNan, 0}));
+  EXPECT_FALSE(DtwNeighbourLess({kNan, 0}, {kInf, 7}));
 }
 
 TEST(DtwBitwiseTest, ProfileDistancesMatchReferenceOnEveryPair) {
