@@ -240,6 +240,56 @@ void BM_GcnlLayerForward(benchmark::State& state) {
 }
 BENCHMARK(BM_GcnlLayerForward);
 
+// One GCNL training step at bay's shape: a row-normalised [84, 84] dense
+// adjacency, about half non-zero like bay's spatial graph, and a
+// [8, 12, 84, 16] input; forward plus backward into the input and all four
+// parameters. BM_GcnlLayerComposedTrainStep runs the same step through the
+// composed graph of public ops that the fused node replaces; their ratio is
+// "gcnl.fused_vs_composed" in bench/baselines.json.
+Tensor BayLikeAdjacency(Rng* rng) {
+  const int64_t n = 84;
+  std::vector<float> a(static_cast<size_t>(n * n), 0.0f);
+  for (int64_t i = 0; i < n; ++i) {
+    float sum = 0.0f;
+    for (int64_t j = 0; j < n; ++j) {
+      if (i == j || rng->Uniform() < 0.47) {
+        a[i * n + j] = static_cast<float>(rng->Uniform());
+        sum += a[i * n + j];
+      }
+    }
+    for (int64_t j = 0; j < n; ++j) a[i * n + j] /= sum;
+  }
+  return Tensor::FromVector(Shape({n, n}), std::move(a));
+}
+
+template <typename Forward>
+void GcnlTrainStep(benchmark::State& state, const Forward& forward) {
+  Rng rng(3);
+  const GcnlLayer layer(16, 16, &rng);
+  const Tensor adj = BayLikeAdjacency(&rng);
+  Tensor x = Tensor::Uniform(Shape({8, 12, 84, 16}), -1, 1, &rng,
+                             /*requires_grad=*/true);
+  for (auto _ : state) {
+    Sum(forward(layer, adj, x)).Backward();
+    benchmark::DoNotOptimize(x.grad_data());
+  }
+}
+
+void BM_GcnlLayerTrainStep(benchmark::State& state) {
+  GcnlTrainStep(state, [](const GcnlLayer& layer, const Tensor& adj,
+                          const Tensor& x) { return layer.Forward(adj, x); });
+}
+BENCHMARK(BM_GcnlLayerTrainStep);
+
+void BM_GcnlLayerComposedTrainStep(benchmark::State& state) {
+  GcnlTrainStep(state, [](const GcnlLayer& layer, const Tensor& adj,
+                          const Tensor& x) {
+    return Mul(layer.value().Forward(adj, x),
+               Sigmoid(layer.gate().Forward(adj, x)));
+  });
+}
+BENCHMARK(BM_GcnlLayerComposedTrainStep);
+
 void BM_DtwDistance(benchmark::State& state) {
   const int band = static_cast<int>(state.range(0));
   Rng rng(4);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 
 #include "common/check.h"
 #include "common/prof.h"
@@ -174,11 +175,10 @@ ExperimentResult RunIncrease(const SpatioTemporalDataset& dataset,
   const int dtw_band = 8;
 
   // Daily profiles of the observed training columns.
-  std::vector<std::vector<float>> observed_profiles(num_observed);
-  for (int c = 0; c < num_observed; ++c) {
-    observed_profiles[c] = DailyProfile(context.train_observed.NodeSeries(c),
-                                        dataset.steps_per_day);
-  }
+  std::vector<int> observed_columns(num_observed);
+  std::iota(observed_columns.begin(), observed_columns.end(), 0);
+  const std::vector<std::vector<float>> observed_profiles = DailyProfiles(
+      context.train_observed, observed_columns, dataset.steps_per_day);
 
   // Training plans: every observed node is a target; its own column is
   // excluded from aggregation.
@@ -253,11 +253,8 @@ ExperimentResult RunIncrease(const SpatioTemporalDataset& dataset,
     SeriesMatrix pseudo_full = context.normalized_full;
     FillPseudoObservations(&pseudo_full, context.dist_euclid,
                            context.unobserved, context.observed);
-    std::vector<std::vector<float>> target_profiles(context.unobserved.size());
-    for (size_t u = 0; u < context.unobserved.size(); ++u) {
-      target_profiles[u] = DailyProfile(
-          pseudo_full.NodeSeries(context.unobserved[u]), dataset.steps_per_day);
-    }
+    const std::vector<std::vector<float>> target_profiles = DailyProfiles(
+        pseudo_full, context.unobserved, dataset.steps_per_day);
     const std::vector<int> no_self(context.unobserved.size(), -1);
     const std::vector<TargetPlan> test_plans = BuildPlans(
         context.dist_euclid, dataset.num_nodes(), context.observed,

@@ -1,7 +1,9 @@
 // A minimal fixed-size thread pool with a parallel-for helper.
 //
-// Used by the tensor library to parallelise large matrix multiplications and
-// by the experiment harness to evaluate independent windows concurrently.
+// Used by the tensor library (GEMMs, SpMM, convolutions), the GCNL node and
+// the graph and time-series builders (adjacencies, pseudo-observations, DTW
+// neighbour search) to split one operation's independent rows or items
+// across threads.
 
 #ifndef STSM_COMMON_THREAD_POOL_H_
 #define STSM_COMMON_THREAD_POOL_H_
@@ -29,9 +31,11 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // Runs `fn(i)` for all i in [begin, end), splitting the range into
-  // contiguous chunks across the workers, and blocks until all complete.
-  // Falls back to inline execution for small ranges.
+  // Runs `chunk_fn(chunk_begin, chunk_end)` over [begin, end) split into at
+  // most num_threads() contiguous chunks, one queued task each, and blocks
+  // until all complete. There is no grain size: a range of one item, or a
+  // pool of one thread, runs inline on the caller; any other range goes
+  // through the queue however little work it holds.
   void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t, int64_t)>& chunk_fn);
 

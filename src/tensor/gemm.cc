@@ -49,17 +49,28 @@ inline float WidenLoad(uint16_t v) { return F32FromBf16(v); }
 // operand. PackedGemmImpl<float, float> is the historical fp32 kernel
 // (identical arithmetic and flop order); the bf16 instantiations differ only
 // in the pack-time loads.
+//
+// One A against a list of (B, C) slices: per k-block, each A row panel is
+// packed while the first slice runs and reused by every later slice, so a
+// shared operand (an adjacency against B x T activations) is packed once
+// per call instead of once per slice. Per output element the loop is the
+// single-slice one — the same k-blocks, the same zero-padded panels, the
+// same acc -> C store — so a slice's result does not depend on the list it
+// travels in. A single slice reuses one panel slot, exactly as before.
 template <typename AT, typename BT>
 void PackedGemmImpl(int64_t m, int64_t n, int64_t k,        //
                     const AT* a, int64_t rs_a, int64_t cs_a,  //
-                    const BT* b, int64_t rs_b, int64_t cs_b,  //
-                    float* c, int64_t rs_c, int64_t cs_c,     //
-                    bool accumulate) {
-  if (m <= 0 || n <= 0) return;
+                    const GemmSlice* slices, int64_t count,   //
+                    int64_t rs_b, int64_t cs_b,               //
+                    int64_t rs_c, int64_t cs_c, bool accumulate) {
+  if (m <= 0 || n <= 0 || count <= 0) return;
   if (k <= 0) {
     if (!accumulate) {
-      for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) c[i * rs_c + j * cs_c] = 0.0f;
+      for (int64_t s = 0; s < count; ++s) {
+        float* c = slices[s].c;
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n; ++j) c[i * rs_c + j * cs_c] = 0.0f;
+        }
       }
     }
     return;
@@ -73,7 +84,8 @@ void PackedGemmImpl(int64_t m, int64_t n, int64_t k,        //
   assert(mr <= kGemmMaxMr && nr <= kGemmMaxNr);
 
   const int64_t n_panels = (n + nr - 1) / nr;
-  tl_a_pack.resize(static_cast<size_t>(mr * kGemmKc));
+  const int64_t a_slots = count == 1 ? 1 : (m + mr - 1) / mr;
+  tl_a_pack.resize(static_cast<size_t>(a_slots * mr * kGemmKc));
   tl_b_pack.resize(static_cast<size_t>(n_panels * nr * kGemmKc));
 
   for (int64_t kc = 0; kc < k; kc += kGemmKc) {
@@ -82,47 +94,53 @@ void PackedGemmImpl(int64_t m, int64_t n, int64_t k,        //
     // block adds on top.
     const bool overwrite = (kc == 0) && !accumulate;
 
-    // Pack B into NR-wide, k-major panels (zero-padded past column n).
-    float* b_pack = tl_b_pack.data();
-    for (int64_t jp = 0; jp < n_panels; ++jp) {
-      const int64_t j0 = jp * nr;
-      const int64_t jw = std::min(nr, n - j0);
-      float* panel = b_pack + jp * kb * nr;
-      for (int64_t kk = 0; kk < kb; ++kk) {
-        const BT* src = b + (kc + kk) * rs_b + j0 * cs_b;
-        float* dst = panel + kk * nr;
-        for (int64_t j = 0; j < jw; ++j) dst[j] = WidenLoad(src[j * cs_b]);
-        for (int64_t j = jw; j < nr; ++j) dst[j] = 0.0f;
-      }
-    }
-
-    for (int64_t i0 = 0; i0 < m; i0 += mr) {
-      const int64_t iw = std::min(mr, m - i0);
-      // Pack the A row panel k-major (zero-padded past row m).
-      float* a_pack = tl_a_pack.data();
-      for (int64_t kk = 0; kk < kb; ++kk) {
-        const AT* src = a + i0 * rs_a + (kc + kk) * cs_a;
-        float* dst = a_pack + kk * mr;
-        for (int64_t i = 0; i < iw; ++i) dst[i] = WidenLoad(src[i * rs_a]);
-        for (int64_t i = iw; i < mr; ++i) dst[i] = 0.0f;
-      }
-
+    for (int64_t s = 0; s < count; ++s) {
+      const BT* b = static_cast<const BT*>(slices[s].b);
+      float* c = slices[s].c;
+      // Pack B into NR-wide, k-major panels (zero-padded past column n).
+      float* b_pack = tl_b_pack.data();
       for (int64_t jp = 0; jp < n_panels; ++jp) {
         const int64_t j0 = jp * nr;
         const int64_t jw = std::min(nr, n - j0);
-        alignas(32) float acc[kGemmMaxMr * kGemmMaxNr] = {};
-        if (vk != nullptr) {
-          vk->gemm_micro(kb, a_pack, b_pack + jp * kb * nr, acc);
-        } else {
-          MicroKernel(kb, a_pack, b_pack + jp * kb * nr, acc);
+        float* panel = b_pack + jp * kb * nr;
+        for (int64_t kk = 0; kk < kb; ++kk) {
+          const BT* src = b + (kc + kk) * rs_b + j0 * cs_b;
+          float* dst = panel + kk * nr;
+          for (int64_t j = 0; j < jw; ++j) dst[j] = WidenLoad(src[j * cs_b]);
+          for (int64_t j = jw; j < nr; ++j) dst[j] = 0.0f;
         }
-        for (int64_t i = 0; i < iw; ++i) {
-          float* dst = c + (i0 + i) * rs_c + j0 * cs_c;
-          const float* src = acc + i * nr;
-          if (overwrite) {
-            for (int64_t j = 0; j < jw; ++j) dst[j * cs_c] = src[j];
+      }
+
+      for (int64_t i0 = 0; i0 < m; i0 += mr) {
+        const int64_t iw = std::min(mr, m - i0);
+        float* a_pack = tl_a_pack.data() + (a_slots == 1 ? 0 : i0 * kb);
+        if (s == 0) {
+          // Pack the A row panel k-major (zero-padded past row m).
+          for (int64_t kk = 0; kk < kb; ++kk) {
+            const AT* src = a + i0 * rs_a + (kc + kk) * cs_a;
+            float* dst = a_pack + kk * mr;
+            for (int64_t i = 0; i < iw; ++i) dst[i] = WidenLoad(src[i * rs_a]);
+            for (int64_t i = iw; i < mr; ++i) dst[i] = 0.0f;
+          }
+        }
+
+        for (int64_t jp = 0; jp < n_panels; ++jp) {
+          const int64_t j0 = jp * nr;
+          const int64_t jw = std::min(nr, n - j0);
+          alignas(32) float acc[kGemmMaxMr * kGemmMaxNr] = {};
+          if (vk != nullptr) {
+            vk->gemm_micro(kb, a_pack, b_pack + jp * kb * nr, acc);
           } else {
-            for (int64_t j = 0; j < jw; ++j) dst[j * cs_c] += src[j];
+            MicroKernel(kb, a_pack, b_pack + jp * kb * nr, acc);
+          }
+          for (int64_t i = 0; i < iw; ++i) {
+            float* dst = c + (i0 + i) * rs_c + j0 * cs_c;
+            const float* src = acc + i * nr;
+            if (overwrite) {
+              for (int64_t j = 0; j < jw; ++j) dst[j * cs_c] = src[j];
+            } else {
+              for (int64_t j = 0; j < jw; ++j) dst[j * cs_c] += src[j];
+            }
           }
         }
       }
@@ -137,35 +155,34 @@ void PackedGemm(int64_t m, int64_t n, int64_t k,            //
                 const float* b, int64_t rs_b, int64_t cs_b,  //
                 float* c, int64_t rs_c, int64_t cs_c,        //
                 bool accumulate) {
-  PackedGemmImpl<float, float>(m, n, k, a, rs_a, cs_a, b, rs_b, cs_b,  //
-                               c, rs_c, cs_c, accumulate);
+  const GemmSlice slice{b, c};
+  PackedGemmImpl<float, float>(m, n, k, a, rs_a, cs_a, &slice, 1,  //
+                               rs_b, cs_b, rs_c, cs_c, accumulate);
 }
 
-void PackedGemmEx(int64_t m, int64_t n, int64_t k,                      //
-                  const void* a, DType a_dtype, int64_t rs_a, int64_t cs_a,
-                  const void* b, DType b_dtype, int64_t rs_b, int64_t cs_b,
-                  float* c, int64_t rs_c, int64_t cs_c,                 //
-                  bool accumulate) {
+void PackedGemmShared(int64_t m, int64_t n, int64_t k,                      //
+                      const void* a, DType a_dtype, int64_t rs_a, int64_t cs_a,
+                      DType b_dtype, int64_t rs_b, int64_t cs_b,            //
+                      const GemmSlice* slices, int64_t count,               //
+                      int64_t rs_c, int64_t cs_c, bool accumulate) {
   const bool a16 = a_dtype == DType::kBf16;
   const bool b16 = b_dtype == DType::kBf16;
   if (!a16 && !b16) {
-    PackedGemmImpl<float, float>(
-        m, n, k, static_cast<const float*>(a), rs_a, cs_a,
-        static_cast<const float*>(b), rs_b, cs_b, c, rs_c, cs_c, accumulate);
+    PackedGemmImpl<float, float>(m, n, k, static_cast<const float*>(a), rs_a,
+                                 cs_a, slices, count, rs_b, cs_b, rs_c, cs_c,
+                                 accumulate);
   } else if (a16 && !b16) {
-    PackedGemmImpl<uint16_t, float>(
-        m, n, k, static_cast<const uint16_t*>(a), rs_a, cs_a,
-        static_cast<const float*>(b), rs_b, cs_b, c, rs_c, cs_c, accumulate);
+    PackedGemmImpl<uint16_t, float>(m, n, k, static_cast<const uint16_t*>(a),
+                                    rs_a, cs_a, slices, count, rs_b, cs_b,
+                                    rs_c, cs_c, accumulate);
   } else if (!a16 && b16) {
-    PackedGemmImpl<float, uint16_t>(
-        m, n, k, static_cast<const float*>(a), rs_a, cs_a,
-        static_cast<const uint16_t*>(b), rs_b, cs_b, c, rs_c, cs_c,
-        accumulate);
+    PackedGemmImpl<float, uint16_t>(m, n, k, static_cast<const float*>(a),
+                                    rs_a, cs_a, slices, count, rs_b, cs_b,
+                                    rs_c, cs_c, accumulate);
   } else {
     PackedGemmImpl<uint16_t, uint16_t>(
-        m, n, k, static_cast<const uint16_t*>(a), rs_a, cs_a,
-        static_cast<const uint16_t*>(b), rs_b, cs_b, c, rs_c, cs_c,
-        accumulate);
+        m, n, k, static_cast<const uint16_t*>(a), rs_a, cs_a, slices, count,
+        rs_b, cs_b, rs_c, cs_c, accumulate);
   }
 }
 

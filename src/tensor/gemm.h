@@ -5,9 +5,12 @@
 // strides let the caller feed transposed or otherwise strided views without
 // materializing them: MatMul(Transpose(X), W) passes X's swapped strides and
 // the packing loops absorb the layout change. The kernel is single-threaded
-// by design — callers (tensor/ops.cc MatMul forward and both backwards)
-// parallelize over batches and row blocks via ParallelFor and invoke one
-// PackedGemm per disjoint output block.
+// by design — callers (tensor/ops.cc MatMul forward and both backwards, the
+// fused GCNL node in nn/gcn.cc) parallelize over batches and row blocks via
+// ParallelFor, and every output element has exactly one owning task. When
+// many output slices read the same A (an adjacency against every B x T slice
+// of an activation), one PackedGemmShared call runs them all against one
+// packing of A.
 //
 // Internals: classic three-level blocking. The k dimension is split into
 // KC-sized blocks; within a block, B is packed into NR-wide column panels
@@ -54,19 +57,35 @@ void PackedGemm(int64_t m, int64_t n, int64_t k,            //
                 float* c, int64_t rs_c, int64_t cs_c,        //
                 bool accumulate);
 
-// Dtype-aware entry: the same contract as PackedGemm, but A and B carry a
-// runtime element type (fp32 or bf16 bit patterns). bf16 operands are
-// widened to fp32 *inside the packing loops* — the panels handed to the
-// register microkernel are always fp32, so the 6x16 AVX2 kernel and the
-// scalar reference tile are reused unchanged and accumulation is fp32
-// end-to-end. With both dtypes kF32 this is exactly PackedGemm (identical
-// template instantiation), so the fp32 path stays bit-for-bit. C is always
+// One (B, C) operand pair of a shared-A GEMM. `b` points at fp32 or bf16
+// elements (the call's b_dtype); `c` is always fp32.
+struct GemmSlice {
+  const void* b;
+  float* c;
+};
+
+// C_s (+)= A @ B_s for every slice s in [0, count), all with the same A and
+// the same B and C strides; otherwise the PackedGemm contract. Per k-block
+// each A row panel is packed once and reused for every slice; per output
+// element the arithmetic is exactly that of a PackedGemm call on the one
+// slice, so a result is bitwise independent of the list it travels in, and
+// PackedGemm is the list-of-one case. The A pack scratch grows to
+// m x kGemmKc floats per thread, so callers pass row blocks
+// (kGemmRowBlock), not whole tall matrices. No C may alias another slice's
+// C or any input.
+//
+// A and B carry a runtime element type (fp32 or bf16 bit patterns). bf16
+// operands are widened to fp32 *inside the packing loops* — the panels
+// handed to the register microkernel are always fp32, so the 6x16 AVX2
+// kernel and the scalar reference tile are reused unchanged and
+// accumulation is fp32 end-to-end. With both dtypes kF32 this is PackedGemm's
+// template instantiation, so the fp32 path stays bit-for-bit. C is always
 // fp32: reduced precision is a storage format, not a compute format.
-void PackedGemmEx(int64_t m, int64_t n, int64_t k,                      //
-                  const void* a, DType a_dtype, int64_t rs_a, int64_t cs_a,
-                  const void* b, DType b_dtype, int64_t rs_b, int64_t cs_b,
-                  float* c, int64_t rs_c, int64_t cs_c,                 //
-                  bool accumulate);
+void PackedGemmShared(int64_t m, int64_t n, int64_t k,                      //
+                      const void* a, DType a_dtype, int64_t rs_a, int64_t cs_a,
+                      DType b_dtype, int64_t rs_b, int64_t cs_b,            //
+                      const GemmSlice* slices, int64_t count,               //
+                      int64_t rs_c, int64_t cs_c, bool accumulate);
 
 // Reference implementation (triple loop, same stride convention). Used by
 // tests and benchmarks as the correctness / speed baseline.

@@ -533,14 +533,7 @@ Tensor LeakyRelu(const Tensor& x, float alpha) {
 Tensor Sigmoid(const Tensor& x) {
   return UnaryOp(
       "sigmoid.fwd", "sigmoid.bwd", x,
-      [](float v) {
-        // Numerically stable logistic.
-        if (v >= 0.0f) return 1.0f / (1.0f + std::exp(-v));
-        // One libm call: with errno-setting math the compiler cannot merge
-        // two calls to std::exp(v).
-        const float e = std::exp(v);
-        return e / (1.0f + e);
-      },
+      [](float v) { return internal::Logistic(v); },
       [](float, float y) { return y * (1.0f - y); });
 }
 
@@ -1350,6 +1343,81 @@ MatMulPlan PlanMatMul(const TensorImpl& a, const TensorImpl& b) {
   return plan;
 }
 
+// Runs run(blk, batch_begin, batch_end) over the (batch, row block) grid of
+// one GEMM direction. Tasks are ordered batch-major, as the per-slice grid
+// always was; inside one ParallelFor chunk, the consecutive batches of a row
+// block that read the same A matrix (equal `a_offset`) form one run, which
+// the caller hands to PackedGemmShared as one slice list. A broadcast A (an
+// adjacency against every [B, T] slice) is thus packed once per run; a
+// partially broadcast one groups by offset, and an unshared one degenerates
+// to runs of one. Every (batch, block) task has exactly one owner, so the
+// result does not depend on the chunking.
+template <typename Run>
+void ForEachSharedRun(int64_t batches, int64_t blocks,
+                      const std::vector<int64_t>& a_offset, const Run& run) {
+  ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
+    for (int64_t blk = 0; blk < blocks; ++blk) {
+      // Batches whose task index batch * blocks + blk is in [begin, end).
+      int64_t b0 = (begin - blk + blocks - 1) / blocks;
+      const int64_t b_end = (end - blk + blocks - 1) / blocks;
+      while (b0 < b_end) {
+        int64_t b1 = b0 + 1;
+        while (b1 < b_end && a_offset[b1] == a_offset[b0]) ++b1;
+        run(blk, b0, b1);
+        b0 = b1;
+      }
+    }
+  });
+}
+
+// dB += A^T @ dC for every output batch, accumulated at B's strides. Row
+// blocks run over k (the rows of dB). A shared B (a weight) takes its
+// gradient from every batch, so one task owns a row block of EVERY batch and
+// adds them in batch order; otherwise each task's A^T is packed once for
+// its run of batches.
+void MatMulGradB(const MatMulPlan& plan, const float* av, const float* gout,
+                 float* gb) {
+  const int64_t m = plan.m, k = plan.k, n = plan.n;
+  const int64_t batches = plan.batch_count;
+  const int64_t blocks = (k + kGemmRowBlock - 1) / kGemmRowBlock;
+  if (plan.b_shared) {
+    ParallelFor(0, blocks, [&](int64_t begin, int64_t end) {
+      for (int64_t blk = begin; blk < end; ++blk) {
+        const int64_t k0 = blk * kGemmRowBlock;
+        const int64_t rows = std::min(kGemmRowBlock, k - k0);
+        for (int64_t batch = 0; batch < batches; ++batch) {
+          PackedGemm(rows, n, m,                                     //
+                     av + plan.a_batch_offset[batch] + k0 * plan.cs_a,
+                     plan.cs_a, plan.rs_a,                           // A^T
+                     gout + batch * m * n, n, 1,                     //
+                     gb + plan.b_batch_offset[batch] + k0 * plan.rs_b,
+                     plan.rs_b, plan.cs_b,
+                     /*accumulate=*/true);
+        }
+      }
+    });
+    return;
+  }
+  ForEachSharedRun(
+      batches, blocks, plan.a_batch_offset,
+      [&](int64_t blk, int64_t b0, int64_t b1) {
+        const int64_t k0 = blk * kGemmRowBlock;
+        const int64_t rows = std::min(kGemmRowBlock, k - k0);
+        std::vector<GemmSlice> slices;
+        slices.reserve(static_cast<size_t>(b1 - b0));
+        for (int64_t batch = b0; batch < b1; ++batch) {
+          slices.push_back(
+              {gout + batch * m * n,
+               gb + plan.b_batch_offset[batch] + k0 * plan.rs_b});
+        }
+        PackedGemmShared(rows, n, m,                                    //
+                         av + plan.a_batch_offset[b0] + k0 * plan.cs_a,
+                         DType::kF32, plan.cs_a, plan.rs_a,             // A^T
+                         DType::kF32, n, 1, slices.data(), b1 - b0,     //
+                         plan.rs_b, plan.cs_b, /*accumulate=*/true);
+      });
+}
+
 class MatMulNode : public Node {
  public:
   MatMulNode(ImplPtr a, ImplPtr b, std::shared_ptr<MatMulPlan> plan)
@@ -1405,34 +1473,7 @@ class MatMulNode : public Node {
     if (bi->requires_grad) {
       STSM_PROF_SCOPE("matmul.bwd_b");
       bi->EnsureGrad();
-      float* gb = bi->grad();
-      // dB = A^T @ dC, accumulated at B's strides. Row blocks run over k
-      // (the rows of dB).
-      const int64_t blocks = (k + kGemmRowBlock - 1) / kGemmRowBlock;
-      auto block = [&](int64_t batch, int64_t blk) {
-        const int64_t k0 = blk * kGemmRowBlock;
-        const int64_t rows = std::min(kGemmRowBlock, k - k0);
-        PackedGemm(rows, n, m,                                     //
-                   av + plan.a_batch_offset[batch] + k0 * plan.cs_a,
-                   plan.cs_a, plan.rs_a,                           // A^T
-                   gout + batch * m * n, n, 1,                     //
-                   gb + plan.b_batch_offset[batch] + k0 * plan.rs_b,
-                   plan.rs_b, plan.cs_b,
-                   /*accumulate=*/true);
-      };
-      if (plan.b_shared) {
-        ParallelFor(0, blocks, [&](int64_t begin, int64_t end) {
-          for (int64_t blk = begin; blk < end; ++blk) {
-            for (int64_t batch = 0; batch < batches; ++batch) {
-              block(batch, blk);
-            }
-          }
-        });
-      } else {
-        ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
-          for (int64_t t = begin; t < end; ++t) block(t / blocks, t % blocks);
-        });
-      }
+      MatMulGradB(plan, av, gout, bi->grad());
     }
   }
 
@@ -1459,7 +1500,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
 
   // Operands address through dtype-generic byte pointers: fp32 everywhere
   // except the no-grad serving path, where bf16 weights/adjacencies feed the
-  // widen-in-the-pack GEMM (PackedGemmEx). The output is always fp32.
+  // widen-in-the-pack GEMM (PackedGemmShared). The output is always fp32.
   const DType adt = a.dtype();
   const DType bdt = b.dtype();
   const char* ad = static_cast<const char*>(a.impl()->raw());
@@ -1469,23 +1510,26 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   float* out = result->data();
   const int64_t m = plan->m, k = plan->k, n = plan->n;
 
-  // Forward: parallel over (batch, row-block) pairs; each task owns a
-  // disjoint block of C rows and runs one packed GEMM over it.
+  // Forward: each (batch, row-block) task owns a disjoint block of C rows;
+  // runs of batches that share one A matrix go through one packed GEMM.
   const int64_t blocks = (m + kGemmRowBlock - 1) / kGemmRowBlock;
-  ParallelFor(0, plan->batch_count * blocks, [&](int64_t begin, int64_t end) {
-    for (int64_t t = begin; t < end; ++t) {
-      const int64_t batch = t / blocks;
-      const int64_t i0 = (t % blocks) * kGemmRowBlock;
-      const int64_t rows = std::min(kGemmRowBlock, m - i0);
-      PackedGemmEx(
-          rows, n, k,  //
-          ad + (plan->a_batch_offset[batch] + i0 * plan->rs_a) * aes, adt,
-          plan->rs_a, plan->cs_a,  //
-          bd + plan->b_batch_offset[batch] * bes, bdt, plan->rs_b, plan->cs_b,
-          out + (batch * m + i0) * n, n, 1,
-          /*accumulate=*/false);
-    }
-  });
+  ForEachSharedRun(
+      plan->batch_count, blocks, plan->a_batch_offset,
+      [&](int64_t blk, int64_t b0, int64_t b1) {
+        const int64_t i0 = blk * kGemmRowBlock;
+        const int64_t rows = std::min(kGemmRowBlock, m - i0);
+        std::vector<GemmSlice> slices;
+        slices.reserve(static_cast<size_t>(b1 - b0));
+        for (int64_t batch = b0; batch < b1; ++batch) {
+          slices.push_back({bd + plan->b_batch_offset[batch] * bes,
+                            out + (batch * m + i0) * n});
+        }
+        PackedGemmShared(
+            rows, n, k,  //
+            ad + (plan->a_batch_offset[b0] + i0 * plan->rs_a) * aes, adt,
+            plan->rs_a, plan->cs_a, bdt, plan->rs_b, plan->cs_b,
+            slices.data(), b1 - b0, n, 1, /*accumulate=*/false);
+      });
 
   if (result->requires_grad) {
     result->grad_fn = std::make_shared<MatMulNode>(a.impl(), b.impl(),
@@ -1493,6 +1537,19 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   }
   return Tensor(std::move(result));
 }
+
+namespace internal {
+
+void AccumulateMatMulGradB(const Tensor& a, const Tensor& b,
+                           const float* grad_out) {
+  STSM_CHECK(a.defined() && b.defined());
+  STSM_CHECK(a.dtype() == DType::kF32 && b.dtype() == DType::kF32);
+  const MatMulPlan plan = PlanMatMul(*a.impl(), *b.impl());
+  b.impl()->EnsureGrad();
+  MatMulGradB(plan, a.data(), grad_out, b.impl()->grad());
+}
+
+}  // namespace internal
 
 // ---- Dtype conversion ---------------------------------------------------------------
 

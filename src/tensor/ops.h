@@ -10,6 +10,7 @@
 #ifndef STSM_TENSOR_OPS_H_
 #define STSM_TENSOR_OPS_H_
 
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
@@ -170,6 +171,27 @@ void AddScaledInPlace(Tensor x, const Tensor& y, float alpha);
 void MulScalarInPlace(Tensor x, float value);
 // x = max(x, 0) elementwise.
 void ReluInPlace(Tensor x);
+
+namespace internal {
+
+// The numerically stable logistic function exactly as Sigmoid computes it:
+// one libm call (with errno-setting math the compiler cannot merge two
+// calls to std::exp(v)). Fused nodes that apply a sigmoid call this so
+// their bits match the op's.
+inline float Logistic(float v) {
+  if (v >= 0.0f) return 1.0f / (1.0f + std::exp(-v));
+  const float e = std::exp(v);
+  return e / (1.0f + e);
+}
+
+// The b-gradient of MatMul(a, b) without a recorded node: b.grad += aᵀ @ dC
+// at b's strides, where grad_out holds dC as a contiguous array of the
+// product's shape. The MatMul backward's own kernel and partition, so the
+// bits equal what recording the product would have accumulated. fp32 only.
+void AccumulateMatMulGradB(const Tensor& a, const Tensor& b,
+                           const float* grad_out);
+
+}  // namespace internal
 
 }  // namespace stsm
 

@@ -220,6 +220,39 @@ bool RowMajorBatchOffsets(const TensorImpl& x, std::vector<int64_t>* out) {
   return true;
 }
 
+// dX += Aᵀ·dG for every batch: dG is row-major [batches, rows, c] and each
+// batch's [cols, c] window of dX starts at x_offsets[batch].
+void SpmmGradX(CsrImpl* a, const std::vector<int64_t>& x_offsets,
+               const float* gout, float* gx, int64_t c) {
+  EnsureTransposePlan(a);
+  const int32_t* trp = I32(*a->t_row_ptr);
+  const int32_t* tci = I32(*a->t_col_idx);
+  const float* tav = a->t_values->data();
+  const int64_t n = a->rows;
+  const int64_t m = a->cols;
+  const int64_t batches = static_cast<int64_t>(x_offsets.size());
+  const simd::KernelTable* vk = simd::Active();
+  // Each task owns a disjoint block of dX rows within one batch and the
+  // batches' windows of x's grad buffer are disjoint (RowMajorBatchOffsets),
+  // so the whole (batch, block) grid accumulates race-free.
+  const int64_t blocks = (m + kSpmmRowBlock - 1) / kSpmmRowBlock;
+  ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
+    for (int64_t t = begin; t < end; ++t) {
+      const int64_t batch = t / blocks;
+      const int64_t j0 = (t % blocks) * kSpmmRowBlock;
+      const int64_t j1 = std::min(m, j0 + kSpmmRowBlock);
+      const float* gb = gout + batch * n * c;
+      float* gxb = gx + x_offsets[batch];
+      if (vk != nullptr) {
+        vk->spmm_rows(trp, tci, tav, gb, gxb, j0, j1, c,
+                      /*accumulate=*/true);
+      } else {
+        SpmmBackwardKernel(trp, tci, tav, gb, gxb, j0, j1, c);
+      }
+    }
+  });
+}
+
 // ---- Autograd nodes ---------------------------------------------------------
 
 class SpmmNode : public Node {
@@ -238,37 +271,8 @@ class SpmmNode : public Node {
     if (!xi->requires_grad) return;
     STSM_PROF_SCOPE("sparse.spmm.bwd");
     xi->EnsureGrad();
-    CsrImpl* a = a_.get();
-    EnsureTransposePlan(a);
-    const int32_t* trp = I32(*a->t_row_ptr);
-    const int32_t* tci = I32(*a->t_col_idx);
-    const float* tav = a->t_values->data();
-    const float* gout = output->grad();
-    float* gx = xi->grad();
-    const int64_t n = a->rows;
-    const int64_t m = a->cols;
-    const int64_t c = output->shape[-1];
-    const int64_t batches = static_cast<int64_t>(x_offsets_.size());
-    const simd::KernelTable* vk = simd::Active();
-    // Each task owns a disjoint block of dX rows within one batch and the
-    // batches' windows of x's grad buffer are disjoint (RowMajorBatchOffsets),
-    // so the whole (batch, block) grid accumulates race-free.
-    const int64_t blocks = (m + kSpmmRowBlock - 1) / kSpmmRowBlock;
-    ParallelFor(0, batches * blocks, [&](int64_t begin, int64_t end) {
-      for (int64_t t = begin; t < end; ++t) {
-        const int64_t batch = t / blocks;
-        const int64_t j0 = (t % blocks) * kSpmmRowBlock;
-        const int64_t j1 = std::min(m, j0 + kSpmmRowBlock);
-        const float* gb = gout + batch * n * c;
-        float* gxb = gx + x_offsets_[batch];
-        if (vk != nullptr) {
-          vk->spmm_rows(trp, tci, tav, gb, gxb, j0, j1, c,
-                        /*accumulate=*/true);
-        } else {
-          SpmmBackwardKernel(trp, tci, tav, gb, gxb, j0, j1, c);
-        }
-      }
-    });
+    SpmmGradX(a_.get(), x_offsets_, output->grad(), xi->grad(),
+              output->shape[-1]);
   }
 
   void ReleaseSaved() override {
@@ -608,6 +612,35 @@ int64_t Adjacency::cols() const {
 Tensor Adjacency::Apply(const Tensor& x) const {
   STSM_CHECK(defined());
   return is_sparse() ? Spmm(sparse_, x) : MatMul(dense_, x);
+}
+
+void Adjacency::AccumulateInputGrad(const Tensor& x,
+                                    const float* grad_y) const {
+  STSM_CHECK(defined());
+  STSM_CHECK(x.requires_grad());
+  if (!is_sparse()) {
+    internal::AccumulateMatMulGradB(dense_, x, grad_y);
+    return;
+  }
+  STSM_CHECK(sparse_.values_dtype() == DType::kF32)
+      << "Spmm over bf16 values is forward-only; run under NoGradGuard";
+  x.impl()->EnsureGrad();
+  std::vector<int64_t> x_offsets;
+  if (RowMajorBatchOffsets(*x.impl(), &x_offsets)) {
+    SpmmGradX(sparse_.impl().get(), x_offsets, grad_y, x.impl()->grad(),
+              x.shape()[-1]);
+    return;
+  }
+  // Spmm compacts such a layout through a Contiguous node: accumulate into
+  // the compact copy's zeroed gradient, then scatter it into x's gradient
+  // as that node's backward would.
+  Tensor compact = Tensor::Zeros(x.shape());
+  STSM_CHECK(RowMajorBatchOffsets(*compact.impl(), &x_offsets));
+  float* gc = compact.data();
+  SpmmGradX(sparse_.impl().get(), x_offsets, grad_y, gc, x.shape()[-1]);
+  float* gx = x.impl()->grad();
+  const int64_t total = x.numel();
+  for (int64_t i = 0; i < total; ++i) gx[x.impl()->PhysicalIndex(i)] += gc[i];
 }
 
 Tensor Adjacency::ToDenseTensor() const {

@@ -136,6 +136,14 @@ class Adjacency {
   // behaviour) or Spmm (sparse).
   Tensor Apply(const Tensor& x) const;
 
+  // The x-gradient of Apply(x), without a recorded node: x.grad += Aᵀ·dY,
+  // where grad_y holds dY as a contiguous array of Apply(x)'s output shape.
+  // It runs the kernels of Apply's own backward in their order, so the bits
+  // equal what recording Apply would have accumulated. For fused autograd
+  // nodes (nn/gcn.cc) that propagate once and differentiate through the
+  // result more than once. x must require grad.
+  void AccumulateInputGrad(const Tensor& x, const float* grad_y) const;
+
   // The adjacency as a dense tensor (materialises when sparse).
   Tensor ToDenseTensor() const;
 

@@ -77,6 +77,37 @@ std::vector<float> DailyProfile(const std::vector<float>& series,
   return profile;
 }
 
+std::vector<std::vector<float>> DailyProfiles(const SeriesMatrix& series,
+                                              const std::vector<int>& nodes,
+                                              int steps_per_day) {
+  STSM_CHECK_GT(steps_per_day, 0);
+  STSM_CHECK_GE(series.num_steps, steps_per_day);
+  const size_t count = nodes.size();
+  for (int node : nodes) STSM_CHECK(node >= 0 && node < series.num_nodes);
+  // sums[i * steps_per_day + slot]; every node sees each slot equally often.
+  std::vector<double> sums(count * steps_per_day, 0.0);
+  std::vector<int> counts(steps_per_day, 0);
+  for (int t = 0; t < series.num_steps; ++t) {
+    const int slot = t % steps_per_day;
+    const float* row =
+        series.values.data() + static_cast<size_t>(t) * series.num_nodes;
+    double* slot_sums = sums.data() + slot;
+    for (size_t i = 0; i < count; ++i) {
+      slot_sums[i * steps_per_day] += row[nodes[i]];
+    }
+    ++counts[slot];
+  }
+  std::vector<std::vector<float>> profiles(count,
+                                           std::vector<float>(steps_per_day));
+  for (size_t i = 0; i < count; ++i) {
+    for (int s = 0; s < steps_per_day; ++s) {
+      profiles[i][s] = static_cast<float>(sums[i * steps_per_day + s] /
+                                          std::max(1, counts[s]));
+    }
+  }
+  return profiles;
+}
+
 bool DtwNeighbourLess(const DtwNeighbour& x, const DtwNeighbour& y) {
   const bool x_nan = std::isnan(x.distance);
   const bool y_nan = std::isnan(y.distance);

@@ -8,6 +8,8 @@
 #include <limits>
 #include <vector>
 
+#include "timeseries/series.h"
+
 namespace stsm {
 
 // DTW distance between two sequences with absolute-difference local cost.
@@ -31,6 +33,14 @@ double DtwDistance(const std::vector<float>& a, const std::vector<float>& b,
 // profiles is the standard way to make series similarity tractable.
 std::vector<float> DailyProfile(const std::vector<float>& series,
                                 int steps_per_day);
+
+// DailyProfile of series column `nodes[i]`, for every i, in one row-major
+// pass over the matrix instead of one strided column copy per node. Each
+// (node, slot) sum adds its values in the same ascending-t order, so every
+// profile is bitwise DailyProfile(series.NodeSeries(nodes[i]), ...).
+std::vector<std::vector<float>> DailyProfiles(const SeriesMatrix& series,
+                                              const std::vector<int>& nodes,
+                                              int steps_per_day);
 
 // One result of a DTW neighbour search.
 struct DtwNeighbour {

@@ -1,5 +1,6 @@
 #include "timeseries/temporal_adjacency.h"
 
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -11,11 +12,13 @@ namespace stsm {
 std::vector<double> ProfileDtwDistances(const SeriesMatrix& series,
                                         int steps_per_day, int dtw_band) {
   const int n = series.num_nodes;
-  std::vector<std::vector<float>> profiles(n);
+  std::vector<int> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<std::vector<float>> profiles =
+      DailyProfiles(series, all, steps_per_day);
   std::vector<std::pair<int, int>> pairs;
   pairs.reserve(static_cast<size_t>(n) * (n - 1) / 2);
   for (int i = 0; i < n; ++i) {
-    profiles[i] = DailyProfile(series.NodeSeries(i), steps_per_day);
     for (int j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
   }
   // All pairs cost the same, so one flat ParallelFor splits them evenly.
@@ -40,14 +43,20 @@ Tensor TemporalSimilarityAdjacency(const SeriesMatrix& series,
   const int n = series.num_nodes;
   STSM_CHECK(!observed.empty());
   // Profiles of the nodes a query or a candidate reads; the rest stay empty.
-  std::vector<std::vector<float>> profiles(n);
+  std::vector<int> read;
+  std::vector<bool> listed(n, false);
   for (const std::vector<int>* nodes : {&observed, &targets}) {
     for (int node : *nodes) {
-      if (profiles[node].empty()) {
-        profiles[node] =
-            DailyProfile(series.NodeSeries(node), options.steps_per_day);
-      }
+      STSM_CHECK(node >= 0 && node < n);
+      if (!listed[node]) read.push_back(node);
+      listed[node] = true;
     }
+  }
+  std::vector<std::vector<float>> read_profiles =
+      DailyProfiles(series, read, options.steps_per_day);
+  std::vector<std::vector<float>> profiles(n);
+  for (size_t i = 0; i < read.size(); ++i) {
+    profiles[read[i]] = std::move(read_profiles[i]);
   }
   const DtwNeighbourSearch search(profiles, options.dtw_band);
 

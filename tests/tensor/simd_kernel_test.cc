@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/simd.h"
@@ -523,6 +524,215 @@ TEST_F(SimdKernelTest, PackedGemmZeroColumnSkipExactOnSparseOperand) {
   NaiveGemm(m, n, k, a.data(), k, 1, b.data(), n, 1, want.data(), n, 1, false);
   for (int64_t i = 0; i < m * n; ++i) {
     EXPECT_NEAR(got[i], want[i], 1e-4f) << "at " << i;
+  }
+}
+
+// ---- Shared-operand GEMM ----------------------------------------------------
+
+// Operands for the shared-operand GEMM checks: A with all-zero columns (the
+// microkernel's skip) and signed zeros, B with ±0, ±Inf and NaN. A zero A
+// column against an Inf or NaN in B is where the skip shows, so a shared
+// call must group A rows into exactly the panels a per-slice call does.
+struct SharedGemmOperands {
+  int64_t m, n, k, slices;
+  bool trans_a;
+  std::vector<float> a;      // [m, k] row-major, or [k, m] when trans_a
+  std::vector<float> b;      // [2 * slices, k, n + 2]: slice s is t = 2s+1
+  std::vector<float> c;      // [slices, m, n + 1] initial values
+  int64_t rs_a() const { return trans_a ? 1 : k; }
+  int64_t cs_a() const { return trans_a ? m : 1; }
+  int64_t rs_b() const { return n + 2; }
+  const float* b_slice(int64_t s) const {
+    return b.data() + (2 * s + 1) * k * (n + 2);
+  }
+  int64_t rs_c() const { return n + 1; }
+  int64_t c_stride() const { return m * (n + 1); }
+};
+
+SharedGemmOperands MakeSharedGemmOperands(int64_t m, int64_t n, int64_t k,
+                                          int64_t slices, bool trans_a,
+                                          std::mt19937* rng) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  SharedGemmOperands op{m, n, k, slices, trans_a, {}, {}, {}};
+  op.a = RandomVec(m * k, rng);
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t kk = 0; kk < k; ++kk) {
+      float& v = op.a[i * op.rs_a() + kk * op.cs_a()];
+      if (kk % 3 == 0) v = 0.0f;            // all-zero column
+      if ((i + kk) % 7 == 1) v = -0.0f;
+    }
+  }
+  op.b = RandomVec(2 * slices * k * (n + 2), rng);
+  const float specials[] = {0.0f, -0.0f, inf, -inf, nan};
+  for (size_t i = 0; i < op.b.size(); i += 29) {
+    op.b[i] = specials[(i / 29) % 5];
+  }
+  op.c = RandomVec(slices * op.c_stride(), rng);
+  for (size_t i = 0; i < op.c.size(); i += 5) op.c[i] = -0.0f;
+  return op;
+}
+
+// The reference: one PackedGemm per slice, as MatMul ran it before the
+// shared-operand path.
+std::vector<float> PerSliceGemm(const SharedGemmOperands& op,
+                                bool accumulate) {
+  std::vector<float> c = op.c;
+  for (int64_t s = 0; s < op.slices; ++s) {
+    PackedGemm(op.m, op.n, op.k, op.a.data(), op.rs_a(), op.cs_a(),
+               op.b_slice(s), op.rs_b(), 1, c.data() + s * op.c_stride(),
+               op.rs_c(), 1, accumulate);
+  }
+  return c;
+}
+
+// PackedGemmShared over slices [begin, end) of `op`, into `c`.
+void SharedGemm(const SharedGemmOperands& op, int64_t begin, int64_t end,
+                bool accumulate, std::vector<float>* c) {
+  std::vector<GemmSlice> list;
+  for (int64_t s = begin; s < end; ++s) {
+    list.push_back({op.b_slice(s), c->data() + s * op.c_stride()});
+  }
+  PackedGemmShared(op.m, op.n, op.k, op.a.data(), DType::kF32, op.rs_a(),
+                   op.cs_a(), DType::kF32, op.rs_b(), 1, list.data(),
+                   end - begin, op.rs_c(), 1, accumulate);
+}
+
+void ExpectMemEqual(const std::vector<float>& a, const std::vector<float>& b,
+                    const std::string& what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  ASSERT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
+      << what;
+}
+
+// Every m % MR and n % NR class, k below and above KC, A plain and
+// transposed (MatMul's dX = Aᵀ·dY), strided B slices, accumulate on and
+// off, both dispatch modes: the shared call equals the per-slice loop
+// byte for byte.
+TEST_F(SimdKernelTest, PackedGemmSharedMatchesPerSliceLoop) {
+  DispatchGuard guard;
+  std::mt19937 rng(2027);
+  for (bool vec : {false, true}) {
+    simd::SetDispatchForTesting(vec);
+    const int64_t mr = vec ? table_->gemm_mr : kGemmMr;
+    const int64_t nr = vec ? table_->gemm_nr : kGemmNr;
+    for (int64_t m : {int64_t{1}, mr + 1, 3 * mr + 2, kGemmRowBlock}) {
+      for (int64_t n : {nr - 3, nr + 5, 2 * nr + 1}) {
+        for (int64_t k : {int64_t{9}, kGemmKc + 7}) {
+          for (bool trans_a : {false, true}) {
+            const auto op = MakeSharedGemmOperands(m, n, k, 5, trans_a, &rng);
+            for (bool accumulate : {false, true}) {
+              std::vector<float> got = op.c;
+              SharedGemm(op, 0, op.slices, accumulate, &got);
+              ExpectMemEqual(got, PerSliceGemm(op, accumulate),
+                             "m=" + std::to_string(m) + " n=" +
+                                 std::to_string(n) + " k=" +
+                                 std::to_string(k) + " trans_a=" +
+                                 std::to_string(trans_a) + " acc=" +
+                                 std::to_string(accumulate) +
+                                 (vec ? " simd" : " scalar"));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The slice list split across 1-4 pool threads (each chunk one shared call
+// with its own thread_local pack buffers) still equals the per-slice loop.
+TEST_F(SimdKernelTest, PackedGemmSharedIndependentOfSplitAndThreads) {
+  DispatchGuard guard;
+  std::mt19937 rng(77);
+  const auto op = MakeSharedGemmOperands(kGemmRowBlock - 1, 37, 84, 24,
+                                         /*trans_a=*/true, &rng);
+  for (bool vec : {false, true}) {
+    simd::SetDispatchForTesting(vec);
+    const std::vector<float> want = PerSliceGemm(op, /*accumulate=*/true);
+    for (int threads = 1; threads <= 4; ++threads) {
+      ThreadPool pool(threads);
+      std::vector<float> got = op.c;
+      pool.ParallelFor(0, op.slices, [&](int64_t begin, int64_t end) {
+        SharedGemm(op, begin, end, /*accumulate=*/true, &got);
+      });
+      ExpectMemEqual(got, want,
+                     std::to_string(threads) + " threads" +
+                         (vec ? " simd" : " scalar"));
+    }
+  }
+}
+
+// MatMul's shared-operand forward and its dB = Aᵀ·dC backward, for a fully
+// broadcast A and partially broadcast ones (several distinct A matrices,
+// repeated consecutively or interleaved), against a B that is a time-slice
+// view: output and B's gradient equal the per-slice PackedGemm loop.
+TEST_F(SimdKernelTest, MatMulSharedOperandMatchesPerSliceGemm) {
+  DispatchGuard guard;
+  std::mt19937 rng(4242);
+  const int64_t m = 70, k = 84, n = 19;  // two row blocks, one partial
+  struct Layout {
+    std::vector<int64_t> a_batch;  // A's batch dims (broadcast to [2, 3])
+    const char* name;
+  };
+  const Layout layouts[] = {{{}, "shared"},
+                            {{2, 1}, "grouped"},
+                            {{1, 3}, "interleaved"},
+                            {{2, 3}, "unshared"}};
+  for (bool vec : {false, true}) {
+    simd::SetDispatchForTesting(vec);
+    for (const Layout& layout : layouts) {
+      std::vector<int64_t> a_dims = layout.a_batch;
+      a_dims.insert(a_dims.end(), {m, k});
+      const Shape a_shape(a_dims);
+      std::vector<float> av = RandomVec(a_shape.numel(), &rng);
+      for (size_t i = 0; i < av.size(); i += 3) av[i] = 0.0f;
+      const std::vector<float> bv = RandomVec(2 * 5 * k * n, &rng);
+      const std::vector<float> wv = RandomVec(2 * 3 * m * n, &rng);
+
+      const Tensor a = Tensor::FromVector(a_shape, std::vector<float>(av));
+      Tensor b_base =
+          Tensor::FromVector(Shape({2, 5, k, n}), std::vector<float>(bv))
+              .set_requires_grad(true);
+      const Tensor b = Slice(b_base, 1, 2, 5);  // [2, 3, k, n] view
+      const Tensor out = MatMul(a, b);
+      const Tensor w =
+          Tensor::FromVector(Shape({2, 3, m, n}), std::vector<float>(wv));
+      Sum(Mul(out, w)).Backward();
+
+      // Reference: per output batch (i, j), A's matrix and B's view slice,
+      // one PackedGemm per 64-row block, forward and dB.
+      std::vector<float> want_out(static_cast<size_t>(2 * 3 * m * n));
+      std::vector<float> want_gb(bv.size(), 0.0f);
+      for (int64_t i = 0; i < 2; ++i) {
+        for (int64_t j = 0; j < 3; ++j) {
+          const int64_t ai = layout.a_batch.empty()
+                                 ? 0
+                                 : (layout.a_batch[0] == 2 ? i : 0) *
+                                           layout.a_batch[1] +
+                                       (layout.a_batch[1] == 3 ? j : 0);
+          const float* am = av.data() + ai * m * k;
+          const int64_t b_off = (i * 5 + 2 + j) * k * n;
+          const int64_t batch = i * 3 + j;
+          for (int64_t i0 = 0; i0 < m; i0 += kGemmRowBlock) {
+            PackedGemm(std::min(kGemmRowBlock, m - i0), n, k, am + i0 * k, k,
+                       1, bv.data() + b_off, n, 1,
+                       want_out.data() + (batch * m + i0) * n, n, 1, false);
+          }
+          for (int64_t k0 = 0; k0 < k; k0 += kGemmRowBlock) {
+            PackedGemm(std::min(kGemmRowBlock, k - k0), n, m, am + k0, 1, k,
+                       wv.data() + batch * m * n, n, 1,
+                       want_gb.data() + b_off + k0 * n, n, 1, true);
+          }
+        }
+      }
+      const std::string what =
+          std::string(layout.name) + (vec ? " simd" : " scalar");
+      ExpectMemEqual(std::vector<float>(out.data(), out.data() + out.numel()),
+                     want_out, what + " forward");
+      ExpectMemEqual(std::vector<float>(b_base.grad_data(),
+                                        b_base.grad_data() + b_base.numel()),
+                     want_gb, what + " dB");
+    }
   }
 }
 

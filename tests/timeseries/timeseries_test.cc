@@ -69,6 +69,36 @@ TEST(DtwTest, DifferentLengthSequences) {
   EXPECT_LT(DtwDistance(a, b), 1e-9);  // Perfectly warpable.
 }
 
+// The one-pass DailyProfiles equals per-node DailyProfile byte for byte:
+// NaN and ±Inf slots, a partial last day, and a node list that repeats and
+// reorders columns.
+TEST(DailyProfileTest, DailyProfilesMatchesPerNodeProfiles) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const int steps_per_day = 7;
+  SeriesMatrix series(3 * steps_per_day + 4, 5);  // not whole days
+  Rng rng(17);
+  for (float& v : series.values) v = static_cast<float>(rng.Uniform() * 9.0);
+  series.set(3, 1, nan);
+  series.set(10, 2, inf);
+  series.set(11, 2, -inf);
+  series.set(5, 4, -inf);  // -Inf then +Inf in slot 5 of node 4: NaN sum
+  series.set(12, 4, inf);
+  series.set(20, 4, inf);  // +Inf alone in slot 6
+  series.set(2, 0, -0.0f);
+  const std::vector<int> nodes = {4, 0, 2, 1, 3, 2};
+  const auto profiles = DailyProfiles(series, nodes, steps_per_day);
+  ASSERT_EQ(profiles.size(), nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const auto want = DailyProfile(series.NodeSeries(nodes[i]), steps_per_day);
+    ASSERT_EQ(profiles[i].size(), want.size());
+    EXPECT_EQ(std::memcmp(profiles[i].data(), want.data(),
+                          want.size() * sizeof(float)),
+              0)
+        << "node " << nodes[i];
+  }
+}
+
 TEST(DailyProfileTest, AveragesAcrossDays) {
   // Two days, 4 slots: day2 = day1 + 2.
   const std::vector<float> series = {1, 2, 3, 4, 3, 4, 5, 6};
