@@ -2,77 +2,27 @@
 
 #include "common/check.h"
 #include "graph/adjacency.h"
-#include "graph/geo.h"
 
 namespace stsm {
-namespace {
-
-Tensor SubAdjacency(const Tensor& adjacency, const std::vector<int>& indices) {
-  const int64_t n = adjacency.shape()[0];
-  const int64_t k = static_cast<int64_t>(indices.size());
-  Tensor sub = Tensor::Zeros(Shape({k, k}));
-  const float* a = adjacency.data();
-  float* s = sub.data();
-  for (int64_t i = 0; i < k; ++i) {
-    for (int64_t j = 0; j < k; ++j) {
-      s[i * k + j] = a[static_cast<int64_t>(indices[i]) * n + indices[j]];
-    }
-  }
-  return sub;
-}
-
-}  // namespace
 
 BaselineContext BuildBaselineContext(const SpatioTemporalDataset& dataset,
                                      const SpaceSplit& split,
                                      const BaselineConfig& config) {
-  BaselineContext context;
-  context.observed = split.Observed();
-  context.unobserved = split.test;
+  BaselineContext context(dataset, split, DistanceMode::kEuclidean,
+                          config.seed);
   STSM_CHECK_GE(static_cast<int>(context.observed.size()), 4);
-  STSM_CHECK(!context.unobserved.empty());
-
-  context.time_split = SplitTime(dataset.num_steps(), 0.7);
   STSM_CHECK_GE(context.time_split.train_steps,
                 config.input_length + config.horizon + 1);
+  context.train_observed = context.TrainObserved();
 
-  context.normalizer.Fit(dataset.series, context.observed,
-                         context.time_split.train_steps);
-  context.normalized_full = dataset.series;
-  context.normalizer.TransformInPlace(&context.normalized_full);
-
-  const SeriesMatrix train_full =
-      context.normalized_full.TimeSlice(0, context.time_split.train_steps);
-  context.train_observed =
-      SeriesMatrix(context.time_split.train_steps,
-                   static_cast<int>(context.observed.size()));
-  for (int t = 0; t < context.time_split.train_steps; ++t) {
-    for (size_t c = 0; c < context.observed.size(); ++c) {
-      context.train_observed.set(t, static_cast<int>(c),
-                                 train_full.at(t, context.observed[c]));
-    }
-  }
-
-  context.dist_euclid = PairwiseDistances(dataset.coords);
-  context.a_s_kernel = GaussianThresholdAdjacency(
-      context.dist_euclid, dataset.num_nodes(), config.epsilon_s);
-  context.a_s_norm_full =
-      NormalizeSymmetric(context.a_s_kernel, /*add_self_loops=*/false);
-  context.a_s_norm_train = NormalizeSymmetric(
-      SubAdjacency(context.a_s_kernel, context.observed),
-      /*add_self_loops=*/false);
+  const SparseCsr kernel = context.SpatialKernel(config.epsilon_s);
+  context.a_s_kernel = kernel.ToDense();
+  context.a_s_norm_full = NormalizeSpatial(kernel, /*sparse=*/false).dense();
+  context.a_s_norm_train =
+      NormalizeSpatial(SubAdjacency(kernel, context.observed),
+                       /*sparse=*/false)
+          .dense();
   return context;
-}
-
-std::vector<int> CapEvalWindows(std::vector<int> starts, int cap) {
-  if (cap <= 0 || static_cast<int>(starts.size()) <= cap) return starts;
-  std::vector<int> result;
-  result.reserve(cap);
-  const double step = static_cast<double>(starts.size()) / cap;
-  for (int i = 0; i < cap; ++i) {
-    result.push_back(starts[static_cast<size_t>(i * step)]);
-  }
-  return result;
 }
 
 }  // namespace stsm

@@ -1,6 +1,9 @@
-// Shared setup for the adapted baseline models (Section 5.1.2/5.1.3):
-// observed/unobserved bookkeeping, normalisation, distances and spatial
-// adjacency — the same preprocessing STSM uses, so comparisons are fair.
+// Shared setup for the adapted baseline models (Section 5.1.2/5.1.3). The
+// observed/unobserved bookkeeping, the normaliser, the normalised series
+// and the distances are an ExperimentContext in the Euclidean mode — the
+// one construction StsmRunner uses — so comparisons are fair. On top, the
+// baselines hold the observed training slice and the dense Eq. 2 kernel
+// with its Eq. 6 normalisations, all from the context's kernel.
 
 #ifndef STSM_BASELINES_CONTEXT_H_
 #define STSM_BASELINES_CONTEXT_H_
@@ -8,8 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/experiment_context.h"
 #include "data/dataset.h"
-#include "data/normalizer.h"
 #include "data/splits.h"
 #include "tensor/tensor.h"
 
@@ -47,25 +50,18 @@ struct BaselineConfig {
 };
 
 // Precomputed data shared by all baseline runners.
-struct BaselineContext {
-  std::vector<int> observed;
-  std::vector<int> unobserved;
-  TimeSplit time_split;
-  Normalizer normalizer;
-  SeriesMatrix normalized_full;  // Full graph, all steps, normalised.
-  SeriesMatrix train_observed;   // Observed columns, training period.
-  std::vector<double> dist_euclid;
-  Tensor a_s_kernel;             // Eq. 2 adjacency over the full graph.
-  Tensor a_s_norm_full;          // Symmetric-normalised.
-  Tensor a_s_norm_train;         // Observed sub-graph, normalised.
+struct BaselineContext : ExperimentContext {
+  using ExperimentContext::ExperimentContext;
+
+  SeriesMatrix train_observed;  // Observed columns, training period.
+  Tensor a_s_kernel;            // Eq. 2 adjacency over the full graph.
+  Tensor a_s_norm_full;         // Symmetric-normalised.
+  Tensor a_s_norm_train;        // Observed sub-graph, normalised.
 };
 
 BaselineContext BuildBaselineContext(const SpatioTemporalDataset& dataset,
                                      const SpaceSplit& split,
                                      const BaselineConfig& config);
-
-// Evenly subsamples window starts (shared with the STSM runner's policy).
-std::vector<int> CapEvalWindows(std::vector<int> starts, int cap);
 
 }  // namespace stsm
 

@@ -216,7 +216,7 @@ ExperimentResult RunGeGan(const SpatioTemporalDataset& dataset,
   const auto test_start = std::chrono::steady_clock::now();
   {
     NoGradGuard no_grad;
-    std::vector<int> starts = CapEvalWindows(
+    std::vector<int> starts = CapWindowStarts(
         ValidWindowStarts(context.time_split.train_steps,
                           context.time_split.total_steps, spec,
                           config.eval_stride),

@@ -136,7 +136,7 @@ ExperimentResult RunIgnnk(const SpatioTemporalDataset& dataset,
     for (int t = 0; t < test_input.num_steps; ++t) {
       for (int node : context.unobserved) test_input.set(t, node, 0.0f);
     }
-    std::vector<int> starts = CapEvalWindows(
+    std::vector<int> starts = CapWindowStarts(
         ValidWindowStarts(context.time_split.train_steps,
                           context.time_split.total_steps, spec,
                           config.eval_stride),

@@ -261,7 +261,7 @@ ExperimentResult RunIncrease(const SpatioTemporalDataset& dataset,
         context.unobserved, no_self, observed_profiles, target_profiles,
         config.increase_neighbors, dtw_band);
 
-    std::vector<int> starts = CapEvalWindows(
+    std::vector<int> starts = CapWindowStarts(
         ValidWindowStarts(context.time_split.train_steps,
                           context.time_split.total_steps, spec,
                           config.eval_stride),

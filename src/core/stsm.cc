@@ -6,10 +6,9 @@
 
 #include "common/check.h"
 #include "common/prof.h"
-#include "data/normalizer.h"
+#include "core/experiment_context.h"
 #include "data/windows.h"
 #include "graph/adjacency.h"
-#include "graph/road.h"
 #include "masking/masking.h"
 #include "nn/loss.h"
 #include "nn/optim.h"
@@ -17,7 +16,6 @@
 #include "tensor/sparse.h"
 #include "tensor/storage.h"
 #include "timeseries/pseudo_observations.h"
-#include "timeseries/temporal_adjacency.h"
 
 namespace stsm {
 namespace {
@@ -26,21 +24,6 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-// Extracts the square sub-matrix of a binary adjacency at `indices`.
-Tensor SubAdjacency(const Tensor& adjacency, const std::vector<int>& indices) {
-  const int64_t n = adjacency.shape()[0];
-  const int64_t k = static_cast<int64_t>(indices.size());
-  Tensor sub = Tensor::Zeros(Shape({k, k}));
-  const float* a = adjacency.data();
-  float* s = sub.data();
-  for (int64_t i = 0; i < k; ++i) {
-    for (int64_t j = 0; j < k; ++j) {
-      s[i * k + j] = a[static_cast<int64_t>(indices[i]) * n + indices[j]];
-    }
-  }
-  return sub;
 }
 
 // Extracts the square distance sub-matrix at `indices`.
@@ -56,27 +39,6 @@ std::vector<double> SubDistances(const std::vector<double>& distances,
     }
   }
   return sub;
-}
-
-// Wraps an already-normalised dense adjacency in the representation the
-// config asks for. The DTW similarity matrices are built dense (they are
-// K x U blocks embedded in N x N, rebuilt per epoch); sparse mode converts
-// them once so every propagation step runs through SpMM.
-Adjacency RouteAdjacency(Tensor dense, bool sparse) {
-  if (sparse) return Adjacency(SparseCsr::FromDense(dense));
-  return Adjacency(std::move(dense));
-}
-
-// Evenly subsamples `starts` down to at most `cap` entries (cap <= 0: all).
-std::vector<int> CapWindows(std::vector<int> starts, int cap) {
-  if (cap <= 0 || static_cast<int>(starts.size()) <= cap) return starts;
-  std::vector<int> result;
-  result.reserve(cap);
-  const double step = static_cast<double>(starts.size()) / cap;
-  for (int i = 0; i < cap; ++i) {
-    result.push_back(starts[static_cast<size_t>(i * step)]);
-  }
-  return result;
 }
 
 // Eval mode for a scope (Module::SetTraining): dropout is the identity and
@@ -100,24 +62,15 @@ class EvalModeScope {
 }  // namespace
 
 struct StsmRunner::State {
-  explicit State(uint64_t seed) : rng(seed) {}
+  State(const SpatioTemporalDataset& dataset, const SpaceSplit& split,
+        const StsmConfig& config)
+      : rng(config.seed),
+        context(dataset, split, config.distance_mode, config.seed) {}
 
   Rng rng;
-  std::vector<int> observed;    // Global ids, sorted.
-  std::vector<int> unobserved;  // Global ids, sorted.
-  TimeSplit time_split;
-  Normalizer normalizer;
-
-  // Normalised series over the full graph (real values everywhere; the
-  // unobserved columns are only ever used as ground truth, never as input).
-  SeriesMatrix normalized_full;
+  ExperimentContext context;
   // Observed columns over the training period (model inputs/targets).
   SeriesMatrix train_observed;
-
-  std::vector<double> dist_euclid;
-  std::vector<double> dist_road;  // Empty unless a road mode is active.
-  const std::vector<double>* dist_adjacency = nullptr;
-  const std::vector<double>* dist_pseudo = nullptr;
   std::vector<double> dist_pseudo_train;  // Observed x observed.
 
   Adjacency a_s_norm_full;   // Eq. 2 adjacency, normalised, full graph.
@@ -129,97 +82,40 @@ struct StsmRunner::State {
   std::unique_ptr<Adam> optimizer;
   std::vector<Tensor> parameters;
   WindowSpec window_spec;
-  TemporalAdjacencyOptions dtw_options;
 };
 
 StsmRunner::StsmRunner(const SpatioTemporalDataset& dataset,
                        const SpaceSplit& split, const StsmConfig& config)
-    : dataset_(dataset), split_(split), config_(config) {
-  state_ = std::make_unique<State>(config.seed);
+    : dataset_(dataset),
+      split_(split),
+      config_(config),
+      state_(std::make_unique<State>(dataset, split, config)) {
   State& s = *state_;
-  const int n = dataset.num_nodes();
-
-  s.observed = split.Observed();
-  s.unobserved = split.test;
-  STSM_CHECK_GE(static_cast<int>(s.observed.size()), 4);
-  STSM_CHECK(!s.unobserved.empty());
-
-  s.time_split = SplitTime(dataset.num_steps(), 0.7);
-  STSM_CHECK_GE(s.time_split.train_steps,
+  const ExperimentContext& c = s.context;
+  STSM_CHECK_GE(static_cast<int>(c.observed.size()), 4);
+  STSM_CHECK_GE(c.time_split.train_steps,
                 config.input_length + config.horizon + 1);
+  s.train_observed = c.TrainObserved();
+  s.dist_pseudo_train =
+      SubDistances(c.pseudo_distances(), c.num_nodes(), c.observed);
 
-  // Normalise using observed training data only.
-  s.normalizer.Fit(dataset.series, s.observed, s.time_split.train_steps);
-  s.normalized_full = dataset.series;
-  s.normalizer.TransformInPlace(&s.normalized_full);
-
-  // Observed training slice.
-  const SeriesMatrix train_full =
-      s.normalized_full.TimeSlice(0, s.time_split.train_steps);
-  s.train_observed =
-      SeriesMatrix(s.time_split.train_steps,
-                   static_cast<int>(s.observed.size()));
-  for (int t = 0; t < s.time_split.train_steps; ++t) {
-    for (size_t c = 0; c < s.observed.size(); ++c) {
-      s.train_observed.set(t, static_cast<int>(c),
-                           train_full.at(t, s.observed[c]));
-    }
-  }
-
-  // Distance matrices under the configured distance function (Table 11).
-  s.dist_euclid = PairwiseDistances(dataset.coords);
-  if (config.distance_mode != DistanceMode::kEuclidean) {
-    Rng road_rng(config.seed + 7);
-    s.dist_road = RoadNetworkDistances(dataset.coords, /*k_nearest=*/3,
-                                       /*detour_factor=*/1.3,
-                                       /*detour_jitter=*/0.1, &road_rng);
-  }
-  s.dist_adjacency = config.distance_mode == DistanceMode::kEuclidean
-                         ? &s.dist_euclid
-                         : &s.dist_road;
-  s.dist_pseudo = config.distance_mode == DistanceMode::kRoadAll
-                      ? &s.dist_road
-                      : &s.dist_euclid;
-  s.dist_pseudo_train = SubDistances(*s.dist_pseudo, n, s.observed);
-
-  // Spatial adjacency (Eq. 2). Eq. 2 already yields a unit diagonal, so
-  // normalisation does not add a second self-loop. Sparse mode builds the
-  // kernel in CSR without ever materialising the dense N x N matrix; the
-  // sub-graph adjacency for masking (Eq. 2 with epsilon_sg) follows the
-  // same route since only its neighbour structure is read.
-  Adjacency a_sg;
-  if (config.sparse_adjacency) {
-    const SparseCsr kernel = GaussianThresholdAdjacencyCsr(
-        *s.dist_adjacency, n, config.epsilon_s, /*sigma_override=*/0.0,
-        config.binary_spatial_kernel);
-    s.a_s_norm_full =
-        Adjacency(NormalizeSymmetric(kernel, /*add_self_loops=*/false));
-    s.a_s_norm_train = Adjacency(NormalizeSymmetric(
-        SubAdjacency(kernel, s.observed), /*add_self_loops=*/false));
-    a_sg = Adjacency(GaussianThresholdAdjacencyCsr(
-        *s.dist_adjacency, n, config.epsilon_sg, /*sigma_override=*/0.0,
-        /*binary=*/true));
-  } else {
-    const Tensor kernel =
-        GaussianThresholdAdjacency(*s.dist_adjacency, n, config.epsilon_s,
-                                   /*sigma_override=*/0.0,
-                                   config.binary_spatial_kernel);
-    s.a_s_norm_full =
-        Adjacency(NormalizeSymmetric(kernel, /*add_self_loops=*/false));
-    s.a_s_norm_train = Adjacency(NormalizeSymmetric(
-        SubAdjacency(kernel, s.observed), /*add_self_loops=*/false));
-    a_sg = Adjacency(GaussianThresholdAdjacency(
-        *s.dist_adjacency, n, config.epsilon_sg, /*sigma_override=*/0.0,
-        /*binary=*/true));
-  }
+  // Spatial adjacency (Eq. 2), normalised over the full graph and over the
+  // observed sub-graph. The sub-graph adjacency for masking (Eq. 2 with
+  // epsilon_sg) stays in CSR since only its neighbour structure is read.
+  const SparseCsr kernel =
+      c.SpatialKernel(config.epsilon_s, config.binary_spatial_kernel);
+  s.a_s_norm_full = NormalizeSpatial(kernel, config.sparse_adjacency);
+  s.a_s_norm_train = NormalizeSpatial(SubAdjacency(kernel, c.observed),
+                                      config.sparse_adjacency);
   MaskingConfig mask_config;
   mask_config.mask_ratio = config.mask_ratio;
   mask_config.top_k = config.top_k;
   // Multi-region splits (the paper's future-work extension) score masking
   // candidates against their nearest unobserved region.
-  s.mask_context =
-      BuildMaskingContext(a_sg, dataset.coords, dataset.metadata, s.observed,
-                          split.TestRegions(), mask_config);
+  s.mask_context = BuildMaskingContext(
+      Adjacency(c.SpatialKernel(config.epsilon_sg, /*binary=*/true)),
+      dataset.coords, dataset.metadata, c.observed, split.TestRegions(),
+      mask_config);
 
   // Model, projection head, optimiser.
   Rng init_rng(config.seed + 13);
@@ -235,21 +131,18 @@ StsmRunner::StsmRunner(const SpatioTemporalDataset& dataset,
   s.optimizer = std::make_unique<Adam>(s.parameters, config.learning_rate);
 
   s.window_spec = WindowSpec{config.input_length, config.horizon};
-  s.dtw_options.q_kk = config.q_kk;
-  s.dtw_options.q_ku = config.q_ku;
-  s.dtw_options.steps_per_day = dataset.steps_per_day;
-  s.dtw_options.dtw_band = config.dtw_band;
 }
 
 StsmRunner::~StsmRunner() = default;
 
 void StsmRunner::Train(ExperimentResult* result) {
   State& s = *state_;
-  const int num_observed = static_cast<int>(s.observed.size());
+  const ExperimentContext& c = s.context;
+  const int num_observed = static_cast<int>(c.observed.size());
 
   // Global id -> local (observed-graph) index.
   std::vector<int> global_to_local(dataset_.num_nodes(), -1);
-  for (int i = 0; i < num_observed; ++i) global_to_local[s.observed[i]] = i;
+  for (int i = 0; i < num_observed; ++i) global_to_local[c.observed[i]] = i;
 
   // Validation-selection state: the validation locations masked exactly
   // like the test-time unobserved region, and the best weights seen.
@@ -273,12 +166,9 @@ void StsmRunner::Train(ExperimentResult* result) {
     FillPseudoObservations(&validation_view, s.dist_pseudo_train,
                            validation_local, validation_sources,
                            config_.pseudo_neighbors);
-    a_dtw_validation = RouteAdjacency(
-        NormalizeRow(
-            TemporalSimilarityAdjacency(validation_view, validation_sources,
-                                        validation_local, s.dtw_options),
-            /*add_self_loops=*/true),
-        config_.sparse_adjacency);
+    a_dtw_validation =
+        TemporalAdjacency(validation_view, validation_sources,
+                          validation_local, config_, dataset_.steps_per_day);
   }
 
   // Prediction MSE on the validation locations when they are masked.
@@ -287,7 +177,7 @@ void StsmRunner::Train(ExperimentResult* result) {
     const EvalModeScope eval_mode(s.model.get());
     Rng eval_rng(config_.seed + 101);  // Fixed windows across epochs.
     const std::vector<int> starts = SampleWindowStarts(
-        0, s.time_split.train_steps, s.window_spec,
+        0, c.time_split.train_steps, s.window_spec,
         std::max(1, config_.validation_windows), &eval_rng);
     const WindowBatch masked_batch = MakeWindowBatch(
         validation_view, starts, s.window_spec, dataset_.steps_per_day);
@@ -335,19 +225,15 @@ void StsmRunner::Train(ExperimentResult* result) {
     Adjacency a_dtw_train;
     {
       STSM_PROF_SCOPE("train.temporal_adj");
-      a_dtw_train = RouteAdjacency(
-          NormalizeRow(TemporalSimilarityAdjacency(masked_view, source_local,
-                                                   masked_local,
-                                                   s.dtw_options),
-                       /*add_self_loops=*/true),
-          config_.sparse_adjacency);
+      a_dtw_train = TemporalAdjacency(masked_view, source_local, masked_local,
+                                      config_, dataset_.steps_per_day);
     }
 
     double epoch_loss = 0.0;
     for (int batch = 0; batch < config_.batches_per_epoch; ++batch) {
       STSM_PROF_SCOPE("train.batch");
       const std::vector<int> starts =
-          SampleWindowStarts(0, s.time_split.train_steps, s.window_spec,
+          SampleWindowStarts(0, c.time_split.train_steps, s.window_spec,
                              config_.batch_size, &s.rng);
       const WindowBatch masked_batch = MakeWindowBatch(
           masked_view, starts, s.window_spec, dataset_.steps_per_day);
@@ -407,25 +293,23 @@ void StsmRunner::Train(ExperimentResult* result) {
 void StsmRunner::Evaluate(ExperimentResult* result) {
   STSM_PROF_SCOPE("evaluate");
   State& s = *state_;
+  const ExperimentContext& c = s.context;
   NoGradGuard no_grad;
   const EvalModeScope eval_mode(s.model.get());
 
   // Section 3.5: fill the unobserved region with pseudo-observations and
   // build the temporal adjacency over the full graph from them.
-  SeriesMatrix test_input = s.normalized_full;
-  FillPseudoObservations(&test_input, *s.dist_pseudo, s.unobserved,
-                         s.observed, config_.pseudo_neighbors);
+  SeriesMatrix test_input = c.normalized_full;
+  FillPseudoObservations(&test_input, c.pseudo_distances(), c.unobserved,
+                         c.observed, config_.pseudo_neighbors);
   const SeriesMatrix test_period = test_input.TimeSlice(
-      s.time_split.train_steps, s.time_split.total_steps);
-  const Adjacency a_dtw_full = RouteAdjacency(
-      NormalizeRow(
-          TemporalSimilarityAdjacency(test_period, s.observed, s.unobserved,
-                                      s.dtw_options),
-          /*add_self_loops=*/true),
-      config_.sparse_adjacency);
+      c.time_split.train_steps, c.time_split.total_steps);
+  const Adjacency a_dtw_full =
+      TemporalAdjacency(test_period, c.observed, c.unobserved, config_,
+                        dataset_.steps_per_day);
 
-  std::vector<int> starts = CapWindows(
-      ValidWindowStarts(s.time_split.train_steps, s.time_split.total_steps,
+  std::vector<int> starts = CapWindowStarts(
+      ValidWindowStarts(c.time_split.train_steps, c.time_split.total_steps,
                         s.window_spec, config_.eval_stride),
       config_.max_eval_windows);
   STSM_CHECK(!starts.empty()) << "test period too short for a window";
@@ -447,8 +331,8 @@ void StsmRunner::Evaluate(ExperimentResult* result) {
     for (size_t b = 0; b < chunk_starts.size(); ++b) {
       for (int t = 0; t < config_.horizon; ++t) {
         const int absolute_t = chunk_starts[b] + config_.input_length + t;
-        for (int node : s.unobserved) {
-          const float predicted = s.normalizer.Inverse(
+        for (int node : c.unobserved) {
+          const float predicted = c.normalizer.Inverse(
               preds.at({static_cast<int64_t>(b), t, node, 0}));
           accumulator.Add(predicted, dataset_.series.at(absolute_t, node));
           per_horizon[t].Add(predicted, dataset_.series.at(absolute_t, node));

@@ -1,5 +1,6 @@
 #include "data/csv_io.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -26,10 +27,12 @@ bool ParseFloat(const std::string& text, float* value) {
   return end != text.c_str();
 }
 
-bool ParseDouble(const std::string& text, double* value) {
+// Coordinates must be finite: Eq. 2 cannot weigh a NaN or infinite distance
+// (the all-pairs sigma itself turns NaN).
+bool ParseFiniteDouble(const std::string& text, double* value) {
   char* end = nullptr;
   *value = std::strtod(text.c_str(), &end);
-  return end != text.c_str();
+  return end != text.c_str() && std::isfinite(*value);
 }
 
 }  // namespace
@@ -109,8 +112,8 @@ std::optional<SpatioTemporalDataset> LoadDatasetCsv(
       GeoPoint point;
       NodeMetadata meta;
       float value = 0.0f;
-      if (!ParseDouble(cells[0], &point.x)) return std::nullopt;
-      if (!ParseDouble(cells[1], &point.y)) return std::nullopt;
+      if (!ParseFiniteDouble(cells[0], &point.x)) return std::nullopt;
+      if (!ParseFiniteDouble(cells[1], &point.y)) return std::nullopt;
       if (!ParseFloat(cells[2], &meta.scale)) return std::nullopt;
       if (!ParseFloat(cells[3], &meta.highway_level)) return std::nullopt;
       if (!ParseFloat(cells[4], &meta.maxspeed)) return std::nullopt;

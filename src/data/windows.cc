@@ -17,6 +17,17 @@ std::vector<int> ValidWindowStarts(int range_begin, int range_end,
   return starts;
 }
 
+std::vector<int> CapWindowStarts(std::vector<int> starts, int cap) {
+  if (cap <= 0 || static_cast<int>(starts.size()) <= cap) return starts;
+  std::vector<int> result;
+  result.reserve(cap);
+  const double step = static_cast<double>(starts.size()) / cap;
+  for (int i = 0; i < cap; ++i) {
+    result.push_back(starts[static_cast<size_t>(i * step)]);
+  }
+  return result;
+}
+
 WindowBatch MakeWindowBatch(const SeriesMatrix& series,
                             const std::vector<int>& starts,
                             const WindowSpec& spec, int steps_per_day) {

@@ -22,6 +22,10 @@ struct WindowSpec {
 std::vector<int> ValidWindowStarts(int range_begin, int range_end,
                                    const WindowSpec& spec, int stride = 1);
 
+// Evenly subsamples `starts` down to at most `cap` entries (cap <= 0: all),
+// the evaluation window budget every model shares.
+std::vector<int> CapWindowStarts(std::vector<int> starts, int cap);
+
 // A batch of windows drawn from the series.
 struct WindowBatch {
   Tensor inputs;       // [B, T, N, 1]

@@ -51,28 +51,6 @@ SparseCsr AssembleCsr(
 
 }  // namespace
 
-Tensor GaussianThresholdAdjacency(const std::vector<double>& distances, int n,
-                                  double epsilon, double sigma_override,
-                                  bool binary) {
-  CheckDistanceMatrix(distances, n, epsilon);
-  const double sigma =
-      sigma_override > 0.0 ? sigma_override : DistanceStd(distances);
-  STSM_CHECK_GT(sigma, 0.0) << "degenerate distance matrix";
-
-  Tensor adjacency = Tensor::Zeros(Shape({n, n}));
-  float* a = adjacency.data();
-  const double sigma_sq = sigma * sigma;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      const double d = distances[static_cast<size_t>(i) * n + j];
-      const double w = std::exp(-(d * d) / sigma_sq);
-      a[static_cast<int64_t>(i) * n + j] =
-          (w >= epsilon) ? (binary ? 1.0f : static_cast<float>(w)) : 0.0f;
-    }
-  }
-  return adjacency;
-}
-
 SparseCsr GaussianThresholdAdjacencyCsr(const std::vector<double>& distances,
                                         int n, double epsilon,
                                         double sigma_override, bool binary) {
@@ -96,6 +74,14 @@ SparseCsr GaussianThresholdAdjacencyCsr(const std::vector<double>& distances,
     }
   });
   return AssembleCsr(n, n, rows);
+}
+
+Tensor GaussianThresholdAdjacency(const std::vector<double>& distances, int n,
+                                  double epsilon, double sigma_override,
+                                  bool binary) {
+  return GaussianThresholdAdjacencyCsr(distances, n, epsilon, sigma_override,
+                                       binary)
+      .ToDense();
 }
 
 SparseCsr GaussianAdjacencyFromCoords(const std::vector<GeoPoint>& coords,

@@ -35,9 +35,8 @@ Tensor GaussianThresholdAdjacency(const std::vector<double>& distances, int n,
                                   double epsilon, double sigma_override = 0.0,
                                   bool binary = false);
 
-// CSR variant of GaussianThresholdAdjacency: identical thresholded weights
-// (FromDense of the dense result is bitwise this matrix), but the pruned
-// entries are never stored — the output is O(nnz), not O(N^2).
+// The one Eq. 2 builder: the pruned entries are never stored, so the output
+// is O(nnz), not O(N^2). GaussianThresholdAdjacency is its ToDense().
 SparseCsr GaussianThresholdAdjacencyCsr(const std::vector<double>& distances,
                                         int n, double epsilon,
                                         double sigma_override = 0.0,

@@ -5,14 +5,12 @@
 #include "common/check.h"
 #include "common/prof.h"
 #include "common/rng.h"
-#include "graph/adjacency.h"
-#include "graph/geo.h"
+#include "core/experiment_context.h"
 #include "nn/precision.h"
 #include "nn/serialize.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
 #include "timeseries/pseudo_observations.h"
-#include "timeseries/temporal_adjacency.h"
 
 namespace stsm {
 namespace serve {
@@ -22,60 +20,30 @@ ModelSpec BuildModelSpec(const std::string& name,
                          const SpaceSplit& split, const StsmConfig& config,
                          const std::string& checkpoint_path) {
   STSM_PROF_SCOPE("serve.build_spec");
-  const int n = dataset.num_nodes();
-  const std::vector<int> observed = split.Observed();
-  const std::vector<int>& unobserved = split.test;
-  STSM_CHECK(!observed.empty());
-  STSM_CHECK(!unobserved.empty());
+  ExperimentContext context(dataset, split, config.distance_mode, config.seed);
 
   ModelSpec spec;
   spec.name = name;
   spec.config = config;
-  spec.num_nodes = n;
+  spec.num_nodes = context.num_nodes();
   spec.steps_per_day = dataset.steps_per_day;
   spec.checkpoint_path = checkpoint_path;
-
-  // Normaliser: observed columns of the training period, as in training.
-  const TimeSplit time_split = SplitTime(dataset.num_steps(), 0.7);
-  spec.normalizer.Fit(dataset.series, observed, time_split.train_steps);
-
-  const std::vector<double> distances = PairwiseDistances(dataset.coords);
-
-  // Spatial adjacency (Eq. 2; unit diagonal, so no extra self-loops).
-  // Sparse mode assembles CSR directly — the dense N x N kernel is never
-  // materialised, which is the point for city-scale node counts.
-  if (config.sparse_adjacency) {
-    spec.adj_spatial = Adjacency(NormalizeSymmetric(
-        GaussianThresholdAdjacencyCsr(distances, n, config.epsilon_s,
-                                      /*sigma_override=*/0.0,
-                                      config.binary_spatial_kernel),
-        /*add_self_loops=*/false));
-  } else {
-    spec.adj_spatial = Adjacency(NormalizeSymmetric(
-        GaussianThresholdAdjacency(distances, n, config.epsilon_s,
-                                   /*sigma_override=*/0.0,
-                                   config.binary_spatial_kernel),
-        /*add_self_loops=*/false));
-  }
+  spec.normalizer = context.normalizer;
+  spec.adj_spatial = NormalizeSpatial(
+      context.SpatialKernel(config.epsilon_s, config.binary_spatial_kernel),
+      config.sparse_adjacency);
 
   // Temporal adjacency over the full graph: unobserved columns are filled
-  // with pseudo-observations first (they have no real history), matching
-  // the offline test path.
-  SeriesMatrix filled = dataset.series;
-  spec.normalizer.TransformInPlace(&filled);
-  FillPseudoObservations(&filled, distances, unobserved, observed,
+  // with pseudo-observations first (they have no real history), as on the
+  // offline test path. It reads the whole series, not only the test period
+  // (DESIGN.md, "Model registry and precomputed state").
+  SeriesMatrix filled = std::move(context.normalized_full);
+  FillPseudoObservations(&filled, context.pseudo_distances(),
+                         context.unobserved, context.observed,
                          config.pseudo_neighbors);
-  TemporalAdjacencyOptions dtw_options;
-  dtw_options.q_kk = config.q_kk;
-  dtw_options.q_ku = config.q_ku;
-  dtw_options.steps_per_day = dataset.steps_per_day;
-  dtw_options.dtw_band = config.dtw_band;
-  const Tensor dtw = NormalizeRow(
-      TemporalSimilarityAdjacency(filled, observed, unobserved, dtw_options),
-      /*add_self_loops=*/true);
-  spec.adj_temporal = config.sparse_adjacency
-                          ? Adjacency(SparseCsr::FromDense(dtw))
-                          : Adjacency(dtw);
+  spec.adj_temporal = TemporalAdjacency(filled, context.observed,
+                                        context.unobserved, config,
+                                        dataset.steps_per_day);
 
   // Reduced-precision serving stores the adjacency values at the serving
   // dtype too (DESIGN.md §13); the GEMM/SpMM kernels widen per element, so

@@ -4,8 +4,9 @@
 // needs: the architecture config, the z-score normaliser fitted at training
 // time, and the pre-normalised full-graph adjacency matrices (spatial
 // Gaussian kernel + DTW temporal similarity). BuildModelSpec recomputes
-// these from the dataset/split exactly as StsmRunner's test path does, so a
-// served model sees the same inputs as the offline evaluation.
+// these from the dataset/split through the same ExperimentContext as
+// StsmRunner, so a served model sees the offline normaliser and spatial
+// graph; its DTW graph reads the whole series (see BuildModelSpec).
 //
 // A ServedModel owns one loaded StModel in eval mode; its Predict runs under
 // autograd::NoGradGuard, so serving builds no graph and allocates no grad
@@ -52,11 +53,12 @@ struct ModelSpec {
 };
 
 // Recomputes the serving-time state for a model trained on
-// (dataset, split, config): normaliser fitted on the observed training
-// columns, spatial adjacency over the full graph, and the temporal
-// adjacency built from pseudo-observation-filled series — the same
-// construction as StsmRunner::Evaluate. Euclidean distances (the default
-// distance mode) are used throughout.
+// (dataset, split, config) from the ExperimentContext training used: the
+// normaliser fitted on the observed training columns, the spatial
+// adjacency over the full graph under config.distance_mode, and the
+// temporal adjacency built from the pseudo-observation-filled series, as
+// StsmRunner::Evaluate builds it but over the whole series rather than the
+// test period (DESIGN.md, "Model registry and precomputed state").
 ModelSpec BuildModelSpec(const std::string& name,
                          const SpatioTemporalDataset& dataset,
                          const SpaceSplit& split, const StsmConfig& config,

@@ -142,16 +142,5 @@ TEST(ContextTest, BuildsConsistentShapes) {
             static_cast<int64_t>(context.observed.size()));
 }
 
-TEST(ContextTest, CapEvalWindowsSubsamplesEvenly) {
-  std::vector<int> starts;
-  for (int i = 0; i < 100; ++i) starts.push_back(i);
-  const auto capped = CapEvalWindows(starts, 10);
-  EXPECT_EQ(capped.size(), 10u);
-  EXPECT_EQ(capped.front(), 0);
-  EXPECT_GE(capped.back(), 80);
-  const auto untouched = CapEvalWindows(starts, 0);
-  EXPECT_EQ(untouched.size(), 100u);
-}
-
 }  // namespace
 }  // namespace stsm

@@ -400,6 +400,17 @@ TEST(WindowsTest, StrideSubsamples) {
   EXPECT_EQ(starts, (std::vector<int>{0, 5, 10, 15}));
 }
 
+TEST(WindowsTest, CapWindowStartsSubsamplesEvenly) {
+  std::vector<int> starts;
+  for (int i = 0; i < 100; ++i) starts.push_back(i);
+  const auto capped = CapWindowStarts(starts, 10);
+  EXPECT_EQ(capped.size(), 10u);
+  EXPECT_EQ(capped.front(), 0);
+  EXPECT_GE(capped.back(), 80);
+  const auto untouched = CapWindowStarts(starts, 0);
+  EXPECT_EQ(untouched.size(), 100u);
+}
+
 TEST(WindowsTest, BatchContents) {
   SeriesMatrix series(10, 2);
   for (int t = 0; t < 10; ++t) {

@@ -1,6 +1,9 @@
 // Tests for CSV dataset I/O and SVG map rendering.
 
+#include <cmath>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "data/csv_io.h"
 #include "data/simulator.h"
@@ -77,6 +80,50 @@ TEST_F(CsvIoTest, GarbageValuesRejected) {
   for (int t = 0; t < 5; ++t) series << "not_a_number\n";
   series.close();
   EXPECT_FALSE(LoadDatasetCsv(directory_).has_value());
+}
+
+TEST_F(CsvIoTest, NonFiniteCoordinatesRejected) {
+  // A NaN or infinite coordinate would only surface later, as an aborted
+  // Eq. 2 build; the loader refuses it instead.
+  ASSERT_TRUE(SaveDatasetCsv(TinyDataset(), directory_));
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(directory_ + "/sensors.csv");
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_GE(lines.size(), 3u);
+  for (const std::string bad : {"nan", "inf", "-inf"}) {
+    for (const int column : {0, 1}) {  // x_km, y_km.
+      std::vector<std::string> edited = lines;
+      std::string& row = edited[2];
+      const size_t first_comma = row.find(',');
+      if (column == 0) {
+        row = bad + row.substr(first_comma);
+      } else {
+        const size_t second_comma = row.find(',', first_comma + 1);
+        row = row.substr(0, first_comma + 1) + bad + row.substr(second_comma);
+      }
+      {
+        std::ofstream out(directory_ + "/sensors.csv", std::ios::trunc);
+        for (const std::string& line : edited) out << line << "\n";
+      }
+      EXPECT_FALSE(LoadDatasetCsv(directory_).has_value())
+          << bad << " in column " << column;
+    }
+  }
+  // Series values may stay non-finite (DTW handles NaN).
+  {
+    std::ofstream out(directory_ + "/sensors.csv", std::ios::trunc);
+    for (const std::string& line : lines) out << line << "\n";
+  }
+  std::ofstream series(directory_ + "/series.csv", std::ios::app);
+  series << "nan";
+  for (int c = 1; c < TinyDataset().num_nodes(); ++c) series << ",inf";
+  series << "\n";
+  series.close();
+  const auto loaded = LoadDatasetCsv(directory_);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_TRUE(std::isnan(loaded->series.at(loaded->num_steps() - 1, 0)));
 }
 
 TEST(SvgMapTest, SensorMapContainsAllDots) {

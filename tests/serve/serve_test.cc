@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,9 @@
 #include "core/st_model.h"
 #include "data/simulator.h"
 #include "data/splits.h"
+#include "graph/adjacency.h"
+#include "graph/geo.h"
+#include "graph/road.h"
 #include "gtest/gtest.h"
 #include "nn/serialize.h"
 #include "serve/cache.h"
@@ -22,6 +26,8 @@
 #include "tensor/dtype.h"
 #include "tensor/storage.h"
 #include "testing/temp_dir.h"
+#include "timeseries/pseudo_observations.h"
+#include "timeseries/temporal_adjacency.h"
 
 namespace stsm {
 namespace serve {
@@ -243,6 +249,62 @@ TEST(ModelSpecTest, SparseAdjacencyPredictsLikeDense) {
     EXPECT_NEAR(sparse_out.data()[i], d,
                 1e-5f * std::max(1.0f, std::fabs(d)))
         << "element " << i;
+  }
+}
+
+TEST(ModelSpecTest, RoadModeServesTheTrainedGraph) {
+  // In the Table 11 road modes the served spatial graph is the one training
+  // used: Eq. 2 over the road distances drawn from Rng(seed + 7), and the
+  // pseudo-observations behind the temporal graph read road distances in
+  // kRoadAll only.
+  ServeFixture& f = Fixture();
+  const int n = f.dataset.num_nodes();
+  const std::vector<int> observed = f.split.Observed();
+  for (const DistanceMode mode :
+       {DistanceMode::kRoadAll, DistanceMode::kRoadMatrixOnly}) {
+    SCOPED_TRACE(mode == DistanceMode::kRoadAll ? "rd-a" : "rd-m");
+    StsmConfig config = f.config;
+    config.distance_mode = mode;
+    const ModelSpec spec =
+        BuildModelSpec("stsm-road", f.dataset, f.split, config, f.checkpoint);
+
+    Rng road_rng(config.seed + 7);
+    const std::vector<double> road = RoadNetworkDistances(
+        f.dataset.coords, /*k_nearest=*/3, /*detour_factor=*/1.3,
+        /*detour_jitter=*/0.1, &road_rng);
+    const Tensor spatial = NormalizeSymmetric(
+        GaussianThresholdAdjacency(road, n, config.epsilon_s,
+                                   /*sigma_override=*/0.0,
+                                   config.binary_spatial_kernel),
+        /*add_self_loops=*/false);
+    ASSERT_FALSE(spec.adj_spatial.is_sparse());
+    EXPECT_EQ(std::memcmp(spec.adj_spatial.dense().data(), spatial.data(),
+                          sizeof(float) * n * n),
+              0);
+    // The Euclidean graph differs, so the comparison above has teeth.
+    EXPECT_NE(std::memcmp(f.spec.adj_spatial.dense().data(), spatial.data(),
+                          sizeof(float) * n * n),
+              0);
+
+    SeriesMatrix filled = f.dataset.series;
+    f.spec.normalizer.TransformInPlace(&filled);
+    FillPseudoObservations(
+        &filled,
+        mode == DistanceMode::kRoadAll ? road
+                                       : PairwiseDistances(f.dataset.coords),
+        f.split.test, observed, config.pseudo_neighbors);
+    TemporalAdjacencyOptions options;
+    options.q_kk = config.q_kk;
+    options.q_ku = config.q_ku;
+    options.steps_per_day = f.dataset.steps_per_day;
+    options.dtw_band = config.dtw_band;
+    const Tensor temporal = NormalizeRow(
+        TemporalSimilarityAdjacency(filled, observed, f.split.test, options),
+        /*add_self_loops=*/true);
+    ASSERT_FALSE(spec.adj_temporal.is_sparse());
+    EXPECT_EQ(std::memcmp(spec.adj_temporal.dense().data(), temporal.data(),
+                          sizeof(float) * n * n),
+              0);
   }
 }
 
