@@ -6,6 +6,12 @@
 #include "common/check.h"
 
 namespace stsm {
+namespace {
+
+// The pool whose worker loop runs on this thread; null off the workers.
+thread_local const ThreadPool* current_worker_pool = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
   STSM_CHECK_GE(num_threads, 1);
@@ -33,6 +39,7 @@ void ThreadPool::Enqueue(std::function<void()> task) {
 }
 
 void ThreadPool::WorkerLoop() {
+  current_worker_pool = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -52,8 +59,11 @@ void ThreadPool::ParallelFor(
   const int64_t total = end - begin;
   if (total <= 0) return;
   const int threads = num_threads();
-  // Small ranges are cheaper inline than through the queue.
-  if (total == 1 || threads == 1) {
+  // Small ranges are cheaper inline than through the queue. A call from
+  // one of this pool's own workers runs inline too: queueing its chunks and
+  // blocking would park the worker, and once every worker is parked no one
+  // is left to run the queued chunks.
+  if (total == 1 || threads == 1 || current_worker_pool == this) {
     chunk_fn(begin, end);
     return;
   }

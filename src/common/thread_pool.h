@@ -33,8 +33,9 @@ class ThreadPool {
 
   // Runs `chunk_fn(chunk_begin, chunk_end)` over [begin, end) split into at
   // most num_threads() contiguous chunks, one queued task each, and blocks
-  // until all complete. There is no grain size: a range of one item, or a
-  // pool of one thread, runs inline on the caller; any other range goes
+  // until all complete. There is no grain size: a range of one item, a pool
+  // of one thread, or a call made from inside one of this pool's own tasks
+  // (a nested ParallelFor) runs inline on the caller; any other range goes
   // through the queue however little work it holds.
   void ParallelFor(int64_t begin, int64_t end,
                    const std::function<void(int64_t, int64_t)>& chunk_fn);

@@ -7,7 +7,6 @@
 #include "graph/adjacency.h"
 #include "graph/geo.h"
 #include "graph/road.h"
-#include "timeseries/temporal_adjacency.h"
 
 namespace stsm {
 
@@ -63,19 +62,25 @@ Adjacency NormalizeSpatial(const SparseCsr& kernel, bool sparse) {
   return Adjacency(normalized.ToDense());
 }
 
-Adjacency TemporalAdjacency(const SeriesMatrix& series,
-                            const std::vector<int>& sources,
-                            const std::vector<int>& targets,
-                            const StsmConfig& config, int steps_per_day) {
+TemporalAdjacencyOptions TemporalOptions(const StsmConfig& config,
+                                         int steps_per_day) {
   TemporalAdjacencyOptions options;
   options.q_kk = config.q_kk;
   options.q_ku = config.q_ku;
   options.steps_per_day = steps_per_day;
   options.dtw_band = config.dtw_band;
+  return options;
+}
+
+Adjacency TemporalAdjacency(const SeriesMatrix& series,
+                            const std::vector<int>& sources,
+                            const std::vector<int>& targets,
+                            const TemporalAdjacencyOptions& options,
+                            bool sparse) {
   Tensor dtw = NormalizeRow(
       TemporalSimilarityAdjacency(series, sources, targets, options),
       /*add_self_loops=*/true);
-  if (config.sparse_adjacency) return Adjacency(SparseCsr::FromDense(dtw));
+  if (sparse) return Adjacency(SparseCsr::FromDense(dtw));
   return Adjacency(std::move(dtw));
 }
 

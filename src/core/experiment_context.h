@@ -20,6 +20,7 @@
 #include "data/normalizer.h"
 #include "data/splits.h"
 #include "tensor/sparse.h"
+#include "timeseries/temporal_adjacency.h"
 
 namespace stsm {
 
@@ -60,15 +61,20 @@ struct ExperimentContext {
 // for the observed sub-graph.
 Adjacency NormalizeSpatial(const SparseCsr& kernel, bool sparse);
 
+// The config's q_kk/q_ku/dtw_band for a series of `steps_per_day` slots.
+TemporalAdjacencyOptions TemporalOptions(const StsmConfig& config,
+                                         int steps_per_day);
+
 // The temporal-similarity adjacency A_dtw (Section 3.4.1) from `sources` to
-// `targets` over `series` under the config's q_kk/q_ku/dtw_band,
-// row-normalised with self-loops. It is built dense (K x U blocks embedded
-// in N x N); config.sparse_adjacency converts it to CSR once, so every
-// propagation step runs through SpMM.
+// `targets` over `series` under `options`, row-normalised with self-loops.
+// It is built dense (K x U blocks embedded in N x N); `sparse`
+// (config.sparse_adjacency) converts it to CSR once, so every propagation
+// step runs through SpMM.
 Adjacency TemporalAdjacency(const SeriesMatrix& series,
                             const std::vector<int>& sources,
                             const std::vector<int>& targets,
-                            const StsmConfig& config, int steps_per_day);
+                            const TemporalAdjacencyOptions& options,
+                            bool sparse);
 
 }  // namespace stsm
 

@@ -139,6 +139,8 @@ void StsmRunner::Train(ExperimentResult* result) {
   State& s = *state_;
   const ExperimentContext& c = s.context;
   const int num_observed = static_cast<int>(c.observed.size());
+  const TemporalAdjacencyOptions dtw_options =
+      TemporalOptions(config_, dataset_.steps_per_day);
 
   // Global id -> local (observed-graph) index.
   std::vector<int> global_to_local(dataset_.num_nodes(), -1);
@@ -168,7 +170,8 @@ void StsmRunner::Train(ExperimentResult* result) {
                            config_.pseudo_neighbors);
     a_dtw_validation =
         TemporalAdjacency(validation_view, validation_sources,
-                          validation_local, config_, dataset_.steps_per_day);
+                          validation_local, dtw_options,
+                          config_.sparse_adjacency);
   }
 
   // Prediction MSE on the validation locations when they are masked.
@@ -226,7 +229,7 @@ void StsmRunner::Train(ExperimentResult* result) {
     {
       STSM_PROF_SCOPE("train.temporal_adj");
       a_dtw_train = TemporalAdjacency(masked_view, source_local, masked_local,
-                                      config_, dataset_.steps_per_day);
+                                      dtw_options, config_.sparse_adjacency);
     }
 
     double epoch_loss = 0.0;
@@ -305,8 +308,9 @@ void StsmRunner::Evaluate(ExperimentResult* result) {
   const SeriesMatrix test_period = test_input.TimeSlice(
       c.time_split.train_steps, c.time_split.total_steps);
   const Adjacency a_dtw_full =
-      TemporalAdjacency(test_period, c.observed, c.unobserved, config_,
-                        dataset_.steps_per_day);
+      TemporalAdjacency(test_period, c.observed, c.unobserved,
+                        TemporalOptions(config_, dataset_.steps_per_day),
+                        config_.sparse_adjacency);
 
   std::vector<int> starts = CapWindowStarts(
       ValidWindowStarts(c.time_split.train_steps, c.time_split.total_steps,

@@ -1,11 +1,14 @@
 #include "serve/registry.h"
 
+#include <bit>
+#include <cstring>
 #include <utility>
 
 #include "common/check.h"
 #include "common/prof.h"
 #include "common/rng.h"
 #include "core/experiment_context.h"
+#include "graph/geo.h"
 #include "nn/precision.h"
 #include "nn/serialize.h"
 #include "tensor/autograd.h"
@@ -15,23 +18,116 @@
 namespace stsm {
 namespace serve {
 
-ModelSpec BuildModelSpec(const std::string& name,
-                         const SpatioTemporalDataset& dataset,
-                         const SpaceSplit& split, const StsmConfig& config,
-                         const std::string& checkpoint_path) {
-  STSM_PROF_SCOPE("serve.build_spec");
-  ExperimentContext context(dataset, split, config.distance_mode, config.seed);
+// The part of a spec that depends only on the data, the split and the graph
+// hyper-parameters, never on the temporal module or the weights. Immutable
+// once built: specs and worker threads share its tensors without copies.
+struct ServingGraph {
+  int num_nodes = 0;
+  Normalizer normalizer;
+  Adjacency adj_spatial;
+  Adjacency adj_temporal;
+};
 
-  ModelSpec spec;
-  spec.name = name;
-  spec.config = config;
-  spec.num_nodes = context.num_nodes();
-  spec.steps_per_day = dataset.steps_per_day;
-  spec.checkpoint_path = checkpoint_path;
-  spec.normalizer = context.normalizer;
-  spec.adj_spatial = NormalizeSpatial(
-      context.SpatialKernel(config.epsilon_s, config.binary_spatial_kernel),
-      config.sparse_adjacency);
+namespace {
+
+// 64-bit hash of raw bytes, eight at a time. Every step (xor, rotate, odd
+// multiply, and the splitmix64 finaliser on the word) is a bijection, so
+// two inputs of one length that differ in a single word always differ.
+class ContentHash {
+ public:
+  void Add(const void* data, size_t bytes) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    while (bytes >= sizeof(uint64_t)) {
+      uint64_t word;
+      std::memcpy(&word, p, sizeof(word));
+      Fold(word);
+      p += sizeof(word);
+      bytes -= sizeof(word);
+    }
+    if (bytes > 0) {
+      uint64_t word = 0;
+      std::memcpy(&word, p, bytes);
+      Fold(word);
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void Fold(uint64_t word) {
+    word ^= word >> 30;
+    word *= 0xbf58476d1ce4e5b9ULL;
+    word ^= word >> 27;
+    word *= 0x94d049bb133111ebULL;
+    word ^= word >> 31;
+    hash_ = std::rotl(hash_ ^ word, 27) * 0x9e3779b97f4a7c15ULL;
+  }
+
+  uint64_t hash_ = 1469598103934665603ULL;
+};
+
+// Everything the serving graph is built from. BuildServingGraph reads the
+// config only through this struct, so a field that changes the graph is
+// one that changes the key. The dataset enters by content, never by
+// address: a new dataset at a freed address must not match a stale graph.
+struct GraphKey {
+  uint64_t content_hash = 0;  // series.values and coords bytes.
+  int num_steps = 0;
+  int num_nodes = 0;
+  size_t num_coords = 0;
+  std::vector<int> observed;    // split.Observed()
+  std::vector<int> unobserved;  // split.test
+  DistanceMode distance_mode = DistanceMode::kEuclidean;
+  uint64_t road_seed = 0;  // config.seed in the road modes, else 0.
+  double epsilon_s = 0.0;
+  bool binary_spatial_kernel = false;
+  bool sparse_adjacency = false;
+  int pseudo_neighbors = 0;
+  TemporalAdjacencyOptions dtw;  // q_kk, q_ku, dtw_band, steps_per_day.
+
+  bool operator==(const GraphKey&) const = default;
+};
+
+GraphKey MakeGraphKey(const SpatioTemporalDataset& dataset,
+                      const SpaceSplit& split, const StsmConfig& config) {
+  GraphKey key;
+  ContentHash hash;
+  hash.Add(dataset.series.values.data(),
+           dataset.series.values.size() * sizeof(float));
+  hash.Add(dataset.coords.data(), dataset.coords.size() * sizeof(GeoPoint));
+  key.content_hash = hash.value();
+  key.num_steps = dataset.series.num_steps;
+  key.num_nodes = dataset.series.num_nodes;
+  key.num_coords = dataset.coords.size();
+  key.observed = split.Observed();
+  key.unobserved = split.test;
+  key.distance_mode = config.distance_mode;
+  if (config.distance_mode != DistanceMode::kEuclidean) {
+    key.road_seed = config.seed;
+  }
+  key.epsilon_s = config.epsilon_s;
+  key.binary_spatial_kernel = config.binary_spatial_kernel;
+  key.sparse_adjacency = config.sparse_adjacency;
+  key.pseudo_neighbors = config.pseudo_neighbors;
+  key.dtw = TemporalOptions(config, dataset.steps_per_day);
+  return key;
+}
+
+// The normaliser and the full-graph adjacency pair for `key`, from the
+// ExperimentContext training used (see BuildModelSpec in registry.h).
+std::shared_ptr<const ServingGraph> BuildServingGraph(
+    const SpatioTemporalDataset& dataset, const GraphKey& key) {
+  STSM_PROF_COUNT("serve.graph_builds", 1);
+  SpaceSplit split;
+  split.train = key.observed;
+  split.test = key.unobserved;
+  ExperimentContext context(dataset, split, key.distance_mode, key.road_seed);
+
+  auto graph = std::make_shared<ServingGraph>();
+  graph->num_nodes = context.num_nodes();
+  graph->normalizer = context.normalizer;
+  graph->adj_spatial = NormalizeSpatial(
+      context.SpatialKernel(key.epsilon_s, key.binary_spatial_kernel),
+      key.sparse_adjacency);
 
   // Temporal adjacency over the full graph: unobserved columns are filled
   // with pseudo-observations first (they have no real history), as on the
@@ -40,18 +136,98 @@ ModelSpec BuildModelSpec(const std::string& name,
   SeriesMatrix filled = std::move(context.normalized_full);
   FillPseudoObservations(&filled, context.pseudo_distances(),
                          context.unobserved, context.observed,
-                         config.pseudo_neighbors);
-  spec.adj_temporal = TemporalAdjacency(filled, context.observed,
-                                        context.unobserved, config,
-                                        dataset.steps_per_day);
+                         key.pseudo_neighbors);
+  graph->adj_temporal = TemporalAdjacency(
+      filled, context.observed, context.unobserved, key.dtw,
+      key.sparse_adjacency);
+  return graph;
+}
+
+// Graph key -> the serving graph built for it, while any spec still holds
+// that graph. The entries are weak: specs own their graph, so once the last
+// spec of a key is gone the next BuildModelSpec builds it again. No graph
+// outlives the models that read it.
+class GraphTable {
+ public:
+  static GraphTable& Global() {
+    static GraphTable* table = new GraphTable();
+    return *table;
+  }
+
+  // The live graph of `key`, or null.
+  std::shared_ptr<const ServingGraph> Find(const GraphKey& key)
+      STSM_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    return FindLocked(key);
+  }
+
+  // Records `graph` as the graph of `key` and returns it, unless a
+  // concurrent build of the same key got there first: then that one is
+  // returned, so every spec of one key shares one graph.
+  std::shared_ptr<const ServingGraph> Publish(
+      const GraphKey& key, std::shared_ptr<const ServingGraph> graph)
+      STSM_EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    if (std::shared_ptr<const ServingGraph> live = FindLocked(key)) {
+      return live;
+    }
+    entries_.emplace_back(key, graph);
+    return graph;
+  }
+
+ private:
+  // Drops the entries whose graphs are gone, then looks `key` up.
+  std::shared_ptr<const ServingGraph> FindLocked(const GraphKey& key)
+      STSM_REQUIRES(mutex_) {
+    std::erase_if(entries_, [](const auto& entry) {
+      return entry.second.expired();
+    });
+    for (const auto& [entry_key, graph] : entries_) {
+      if (entry_key == key) return graph.lock();
+    }
+    return nullptr;
+  }
+
+  Mutex mutex_;
+  std::vector<std::pair<GraphKey, std::weak_ptr<const ServingGraph>>>
+      entries_ STSM_GUARDED_BY(mutex_);
+};
+
+}  // namespace
+
+ModelSpec BuildModelSpec(const std::string& name,
+                         const SpatioTemporalDataset& dataset,
+                         const SpaceSplit& split, const StsmConfig& config,
+                         const std::string& checkpoint_path) {
+  STSM_PROF_SCOPE("serve.build_spec");
+  const GraphKey key = MakeGraphKey(dataset, split, config);
+  GraphTable& table = GraphTable::Global();
+  std::shared_ptr<const ServingGraph> graph = table.Find(key);
+  if (graph == nullptr) {
+    // Built outside the table lock: a build fans out over the thread pool
+    // and must not stall lookups of other keys.
+    graph = table.Publish(key, BuildServingGraph(dataset, key));
+  }
+
+  ModelSpec spec;
+  spec.name = name;
+  spec.config = config;
+  spec.num_nodes = graph->num_nodes;
+  spec.steps_per_day = dataset.steps_per_day;
+  spec.checkpoint_path = checkpoint_path;
+  spec.normalizer = graph->normalizer;
+  spec.adj_spatial = graph->adj_spatial;
+  spec.adj_temporal = graph->adj_temporal;
 
   // Reduced-precision serving stores the adjacency values at the serving
   // dtype too (DESIGN.md §13); the GEMM/SpMM kernels widen per element, so
-  // propagation math still accumulates in fp32.
+  // propagation math still accumulates in fp32. The cast makes new storage,
+  // so the shared fp32 graph is never written.
   if (config.serve_dtype != DType::kF32) {
     spec.adj_spatial = spec.adj_spatial.Cast(config.serve_dtype);
     spec.adj_temporal = spec.adj_temporal.Cast(config.serve_dtype);
   }
+  spec.graph = std::move(graph);
   return spec;
 }
 

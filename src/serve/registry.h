@@ -8,6 +8,14 @@
 // StsmRunner, so a served model sees the offline normaliser and spatial
 // graph; its DTW graph reads the whole series (see BuildModelSpec).
 //
+// The normaliser and the adjacency pair form one immutable ServingGraph,
+// built once per graph key (the dataset's content, the split and the graph
+// hyper-parameters) and shared by every spec alive on that key: STSM-TCN
+// and STSM-trans over one (dataset, split) share one build and one set of
+// adjacency storage. Specs own the graph; the registry only remembers it
+// while a spec holds it, so the first spec after the last one is gone
+// builds again.
+//
 // A ServedModel owns one loaded StModel in eval mode; its Predict runs under
 // autograd::NoGradGuard, so serving builds no graph and allocates no grad
 // buffers. When the checkpoint cannot be loaded the ServedModel is still
@@ -38,6 +46,9 @@
 namespace stsm {
 namespace serve {
 
+// The shared normaliser and adjacency pair of one graph key (registry.cc).
+struct ServingGraph;
+
 struct ModelSpec {
   std::string name;
   StsmConfig config;
@@ -50,6 +61,11 @@ struct ModelSpec {
   Adjacency adj_spatial;
   Adjacency adj_temporal;
   std::string checkpoint_path;
+  // The graph the fields above were taken from. Holding it keeps it
+  // findable, so another BuildModelSpec over the same graph key shares it
+  // instead of building again; a bf16 spec holds the fp32 graph its
+  // adjacencies were cast from.
+  std::shared_ptr<const ServingGraph> graph;
 };
 
 // Recomputes the serving-time state for a model trained on
@@ -59,6 +75,14 @@ struct ModelSpec {
 // temporal adjacency built from the pseudo-observation-filled series, as
 // StsmRunner::Evaluate builds it but over the whole series rather than the
 // test period (DESIGN.md, "Model registry and precomputed state").
+//
+// The three are taken from the live ServingGraph of the same graph key when
+// another spec holds one, and built otherwise. The key covers the series
+// values and coordinates (by content hash and shape), the observed and
+// unobserved ids, distance_mode (and seed in the road modes), epsilon_s,
+// binary_spatial_kernel, sparse_adjacency, pseudo_neighbors, q_kk, q_ku,
+// dtw_band and steps_per_day; the temporal module, the model size and the
+// training settings do not enter it. Thread-safe.
 ModelSpec BuildModelSpec(const std::string& name,
                          const SpatioTemporalDataset& dataset,
                          const SpaceSplit& split, const StsmConfig& config,

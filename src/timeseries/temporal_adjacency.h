@@ -25,6 +25,8 @@ struct TemporalAdjacencyOptions {
   int steps_per_day = 288;
   // Sakoe-Chiba band half-width for DTW on the daily profiles (0 = full).
   int dtw_band = 12;
+
+  bool operator==(const TemporalAdjacencyOptions&) const = default;
 };
 
 // Builds the N x N binary temporal adjacency. `series` must contain real

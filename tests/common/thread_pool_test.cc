@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <string>
@@ -158,6 +161,37 @@ TEST(ThreadPoolTest, SmallRangeRunsInlineOnCallingThread) {
     });
     EXPECT_EQ(executed, caller) << "1-thread pools should run inline";
   }
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnItsOwnPoolCompletes) {
+  // Each outer chunk runs on a worker and calls ParallelFor on the same
+  // pool. Were the inner chunks queued while both workers block on them,
+  // nothing would ever run them. The nesting runs on a helper thread so a
+  // deadlock fails the test instead of hanging it.
+  constexpr int64_t kOuter = 2;
+  constexpr int64_t kInner = 100;
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> counts(kOuter * kInner);
+  std::packaged_task<void()> nested([&] {
+    pool.ParallelFor(0, kOuter, [&](int64_t outer_begin, int64_t outer_end) {
+      for (int64_t o = outer_begin; o < outer_end; ++o) {
+        pool.ParallelFor(0, kInner, [&, o](int64_t begin, int64_t end) {
+          for (int64_t i = begin; i < end; ++i) {
+            counts[o * kInner + i].fetch_add(1);
+          }
+        });
+      }
+    });
+  });
+  std::future<void> done = nested.get_future();
+  std::thread helper(std::move(nested));
+  if (done.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    ADD_FAILURE() << "nested ParallelFor on a 2-thread pool did not finish";
+    std::fflush(stdout);
+    std::abort();  // The stuck pool can be neither joined nor destroyed.
+  }
+  helper.join();
+  for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
 TEST(ThreadPoolTest, ConfiguredThreadCountHonoursEnv) {

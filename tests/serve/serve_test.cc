@@ -7,10 +7,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/prof.h"
 #include "common/rng.h"
+#include "core/experiment_context.h"
 #include "core/st_model.h"
 #include "data/simulator.h"
 #include "data/splits.h"
@@ -147,6 +151,343 @@ TEST(BoundedQueueTest, CloseDrainsThenStops) {
   ASSERT_TRUE(queue.PopBatch(&batch, 4, any));  // Still drains.
   EXPECT_EQ(batch.size(), 1u);
   EXPECT_FALSE(queue.PopBatch(&batch, 4, any));  // Closed and empty.
+}
+
+// ---- Shared serving graph ----
+
+// The bytes a served forecast reads besides the weights: the normaliser and
+// both adjacencies (dense values, or the CSR arrays), with their layout.
+struct GraphBytes {
+  std::vector<unsigned char> normalizer;
+  std::vector<unsigned char> spatial;
+  std::vector<unsigned char> temporal;
+};
+
+void AppendBytes(const void* data, size_t bytes,
+                 std::vector<unsigned char>* out) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  out->insert(out->end(), p, p + bytes);
+}
+
+std::vector<unsigned char> AdjacencyBytes(const Adjacency& adjacency) {
+  std::vector<unsigned char> out;
+  const DType dtype = adjacency.values_dtype();
+  out.push_back(static_cast<unsigned char>(adjacency.is_sparse()));
+  out.push_back(static_cast<unsigned char>(dtype));
+  const size_t element = dtype == DType::kBf16 ? 2 : 4;
+  if (adjacency.is_sparse()) {
+    const SparseCsr& csr = adjacency.sparse();
+    AppendBytes(csr.row_ptr(), sizeof(int32_t) * (csr.rows() + 1), &out);
+    AppendBytes(csr.col_idx(), sizeof(int32_t) * csr.nnz(), &out);
+    AppendBytes(dtype == DType::kBf16
+                    ? static_cast<const void*>(csr.values_bf16())
+                    : static_cast<const void*>(csr.values()),
+                element * csr.nnz(), &out);
+  } else {
+    const Tensor& dense = adjacency.dense();
+    AppendBytes(dense.impl()->raw(), element * dense.numel(), &out);
+  }
+  return out;
+}
+
+GraphBytes BytesOf(const Normalizer& normalizer, const Adjacency& spatial,
+                   const Adjacency& temporal) {
+  GraphBytes bytes;
+  const float moments[2] = {normalizer.mean(), normalizer.std()};
+  AppendBytes(moments, sizeof(moments), &bytes.normalizer);
+  bytes.spatial = AdjacencyBytes(spatial);
+  bytes.temporal = AdjacencyBytes(temporal);
+  return bytes;
+}
+
+GraphBytes BytesOf(const ModelSpec& spec) {
+  return BytesOf(spec.normalizer, spec.adj_spatial, spec.adj_temporal);
+}
+
+void ExpectSameGraph(const GraphBytes& actual, const GraphBytes& expected) {
+  EXPECT_TRUE(actual.normalizer == expected.normalizer) << "normaliser";
+  EXPECT_TRUE(actual.spatial == expected.spatial) << "spatial adjacency";
+  EXPECT_TRUE(actual.temporal == expected.temporal) << "temporal adjacency";
+}
+
+// The serving graph composed straight from the ExperimentContext, the way
+// BuildModelSpec built it for every spec before specs shared graphs.
+GraphBytes ReferenceGraph(const SpatioTemporalDataset& dataset,
+                          const SpaceSplit& split, const StsmConfig& config) {
+  ExperimentContext context(dataset, split, config.distance_mode,
+                            config.seed);
+  Adjacency spatial = NormalizeSpatial(
+      context.SpatialKernel(config.epsilon_s, config.binary_spatial_kernel),
+      config.sparse_adjacency);
+  SeriesMatrix filled = context.normalized_full;
+  FillPseudoObservations(&filled, context.pseudo_distances(),
+                         context.unobserved, context.observed,
+                         config.pseudo_neighbors);
+  Adjacency temporal = TemporalAdjacency(
+      filled, context.observed, context.unobserved,
+      TemporalOptions(config, dataset.steps_per_day),
+      config.sparse_adjacency);
+  if (config.serve_dtype != DType::kF32) {
+    spatial = spatial.Cast(config.serve_dtype);
+    temporal = temporal.Cast(config.serve_dtype);
+  }
+  return BytesOf(context.normalizer, spatial, temporal);
+}
+
+// Identity of an adjacency's storage, to tell shared handles from copies.
+const void* StorageOf(const Adjacency& adjacency) {
+  if (adjacency.is_sparse()) return adjacency.sparse().impl().get();
+  return adjacency.dense().impl()->raw();
+}
+
+// Counts serve.graph_builds from construction on, with profiling enabled
+// for its lifetime.
+class GraphBuildCounter {
+ public:
+  GraphBuildCounter() : was_enabled_(prof::Enabled()) {
+    prof::SetEnabled(true);
+    start_ = Total();
+  }
+  ~GraphBuildCounter() { prof::SetEnabled(was_enabled_); }
+
+  uint64_t builds() const { return Total() - start_; }
+
+ private:
+  static uint64_t Total() {
+    const prof::Snapshot snapshot = prof::TakeSnapshot();
+    const prof::StatSnapshot* builds =
+        snapshot.FindCounter("serve.graph_builds");
+    return builds == nullptr ? 0 : builds->total_ns;
+  }
+
+  bool was_enabled_;
+  uint64_t start_ = 0;
+};
+
+// A dataset and split no other test in this file builds a spec over, so
+// the build counts below see only the specs of their own test.
+struct GraphCase {
+  SpatioTemporalDataset dataset;
+  SpaceSplit split;
+  StsmConfig config;
+};
+
+GraphCase MakeGraphCase() {
+  GraphCase c;
+  SimulatorConfig sim;
+  sim.name = "graph-tiny";
+  sim.kind = RegionKind::kHighway;
+  sim.num_sensors = 20;
+  sim.num_days = 3;
+  sim.steps_per_day = 48;
+  sim.area_km = 16.0;
+  sim.seed = 12;
+  c.dataset = SimulateDataset(sim);
+  c.split = SplitSpace(c.dataset.coords, SplitAxis::kVertical);
+  c.config.input_length = 8;
+  c.config.horizon = 4;
+  c.config.hidden_dim = 8;
+  c.config.num_blocks = 1;
+  c.config.dtw_band = 6;
+  c.config.seed = 21;
+  return c;
+}
+
+ModelSpec BuildSpec(const GraphCase& c, const StsmConfig& config) {
+  return BuildModelSpec("stsm", c.dataset, c.split, config, "unused.bin");
+}
+
+// The graph of `config`'s spec built while no other spec is alive.
+GraphBytes LoneBuild(const GraphCase& c, const StsmConfig& config) {
+  return BytesOf(BuildSpec(c, config));
+}
+
+TEST(SharedGraphTest, TcnAndTransShareOneBuild) {
+  const GraphCase c = MakeGraphCase();
+  for (const bool sparse : {false, true}) {
+    for (const DistanceMode mode :
+         {DistanceMode::kEuclidean, DistanceMode::kRoadAll,
+          DistanceMode::kRoadMatrixOnly}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "sparse=" << sparse << " mode=" << static_cast<int>(mode));
+      StsmConfig tcn = c.config;
+      tcn.sparse_adjacency = sparse;
+      tcn.distance_mode = mode;
+      StsmConfig trans = tcn;
+      trans.temporal_module = TemporalModule::kTransformer;
+      const GraphBytes lone = LoneBuild(c, tcn);
+      ExpectSameGraph(lone, ReferenceGraph(c.dataset, c.split, tcn));
+
+      GraphBuildCounter counter;
+      const ModelSpec tcn_spec = BuildSpec(c, tcn);
+      const ModelSpec trans_spec = BuildSpec(c, trans);
+      EXPECT_EQ(counter.builds(), 1u);
+      EXPECT_EQ(tcn_spec.graph, trans_spec.graph);
+      EXPECT_EQ(tcn_spec.adj_spatial.is_sparse(), sparse);
+      EXPECT_EQ(StorageOf(tcn_spec.adj_spatial),
+                StorageOf(trans_spec.adj_spatial));
+      EXPECT_EQ(StorageOf(tcn_spec.adj_temporal),
+                StorageOf(trans_spec.adj_temporal));
+      ExpectSameGraph(BytesOf(tcn_spec), lone);
+      ExpectSameGraph(BytesOf(trans_spec), lone);
+    }
+  }
+}
+
+TEST(SharedGraphTest, EveryKeyedFieldBuildsItsOwnGraph) {
+  const GraphCase base = MakeGraphCase();
+  StsmConfig road = base.config;
+  road.distance_mode = DistanceMode::kRoadAll;
+  struct Variant {
+    const char* name;
+    StsmConfig held;  // The config of the spec kept alive meanwhile.
+    std::function<void(GraphCase*)> change;
+  };
+  const std::vector<Variant> variants = {
+      // An observed node at t = 0, so the normaliser reads the change.
+      {"series value", base.config,
+       [](GraphCase* c) {
+         c->dataset.series.values[c->split.Observed()[0]] += 1.0f;
+       }},
+      {"coordinate", base.config,
+       [](GraphCase* c) { c->dataset.coords[3].x += 0.5; }},
+      {"steps_per_day", base.config,
+       [](GraphCase* c) { c->dataset.steps_per_day = 24; }},
+      {"split", base.config,
+       [](GraphCase* c) {
+         c->split = SplitSpace(c->dataset.coords, SplitAxis::kHorizontal);
+       }},
+      {"distance_mode rd-a", base.config,
+       [](GraphCase* c) { c->config.distance_mode = DistanceMode::kRoadAll; }},
+      {"distance_mode rd-m", base.config,
+       [](GraphCase* c) {
+         c->config.distance_mode = DistanceMode::kRoadMatrixOnly;
+       }},
+      {"seed in a road mode", road,
+       [](GraphCase* c) {
+         c->config.distance_mode = DistanceMode::kRoadAll;
+         c->config.seed += 1;
+       }},
+      {"epsilon_s", base.config,
+       [](GraphCase* c) { c->config.epsilon_s = 0.2; }},
+      {"binary_spatial_kernel", base.config,
+       [](GraphCase* c) { c->config.binary_spatial_kernel = true; }},
+      {"sparse_adjacency", base.config,
+       [](GraphCase* c) { c->config.sparse_adjacency = true; }},
+      {"pseudo_neighbors", base.config,
+       [](GraphCase* c) { c->config.pseudo_neighbors = 3; }},
+      {"q_kk", base.config, [](GraphCase* c) { c->config.q_kk = 2; }},
+      {"q_ku", base.config, [](GraphCase* c) { c->config.q_ku = 2; }},
+      {"dtw_band", base.config, [](GraphCase* c) { c->config.dtw_band = 2; }},
+  };
+  for (const Variant& variant : variants) {
+    SCOPED_TRACE(variant.name);
+    GraphCase changed = MakeGraphCase();
+    variant.change(&changed);
+    const GraphBytes lone = LoneBuild(changed, changed.config);
+    ExpectSameGraph(lone, ReferenceGraph(changed.dataset, changed.split,
+                                         changed.config));
+
+    const ModelSpec held = BuildSpec(base, variant.held);
+    GraphBuildCounter counter;
+    const ModelSpec spec = BuildSpec(changed, changed.config);
+    EXPECT_EQ(counter.builds(), 1u);
+    EXPECT_NE(spec.graph, held.graph);
+    ExpectSameGraph(BytesOf(spec), lone);
+  }
+}
+
+TEST(SharedGraphTest, UnkeyedFieldsShareTheGraph) {
+  const GraphCase base = MakeGraphCase();
+  const ModelSpec held = BuildSpec(base, base.config);
+  const GraphBytes held_bytes = BytesOf(held);
+  struct Variant {
+    const char* name;
+    std::function<void(GraphCase*)> change;
+  };
+  const std::vector<Variant> variants = {
+      {"temporal_module",
+       [](GraphCase* c) {
+         c->config.temporal_module = TemporalModule::kTransformer;
+       }},
+      {"hidden_dim", [](GraphCase* c) { c->config.hidden_dim = 16; }},
+      {"epochs", [](GraphCase* c) { c->config.epochs = 2; }},
+      // The road distances alone read the seed.
+      {"seed in the Euclidean mode", [](GraphCase* c) { c->config.seed += 1; }},
+      // A copy at another address, same content.
+      {"dataset copy", [](GraphCase*) {}},
+  };
+  for (const Variant& variant : variants) {
+    SCOPED_TRACE(variant.name);
+    GraphCase changed = MakeGraphCase();
+    variant.change(&changed);
+    GraphBuildCounter counter;
+    const ModelSpec spec = BuildSpec(changed, changed.config);
+    EXPECT_EQ(counter.builds(), 0u);
+    EXPECT_EQ(spec.graph, held.graph);
+    EXPECT_EQ(StorageOf(spec.adj_temporal), StorageOf(held.adj_temporal));
+    ExpectSameGraph(BytesOf(spec), held_bytes);
+  }
+}
+
+TEST(SharedGraphTest, RebuildsOnceEverySpecIsGone) {
+  const GraphCase c = MakeGraphCase();
+  StsmConfig trans = c.config;
+  trans.temporal_module = TemporalModule::kTransformer;
+  GraphBuildCounter counter;
+  GraphBytes first;
+  {
+    const ModelSpec tcn_spec = BuildSpec(c, c.config);
+    const ModelSpec trans_spec = BuildSpec(c, trans);
+    first = BytesOf(trans_spec);
+  }
+  EXPECT_EQ(counter.builds(), 1u);
+  const ModelSpec again = BuildSpec(c, c.config);
+  EXPECT_EQ(counter.builds(), 2u);
+  ExpectSameGraph(BytesOf(again), first);
+}
+
+TEST(SharedGraphTest, Bf16SpecLeavesTheSharedFp32GraphUnchanged) {
+  const GraphCase c = MakeGraphCase();
+  for (const bool sparse : {false, true}) {
+    SCOPED_TRACE(sparse ? "csr" : "dense");
+    StsmConfig f32 = c.config;
+    f32.sparse_adjacency = sparse;
+    StsmConfig bf16 = f32;
+    bf16.serve_dtype = DType::kBf16;
+    const ModelSpec f32_spec = BuildSpec(c, f32);
+    const GraphBytes before = BytesOf(f32_spec);
+
+    GraphBuildCounter counter;
+    const ModelSpec bf16_spec = BuildSpec(c, bf16);
+    EXPECT_EQ(counter.builds(), 0u);
+    EXPECT_EQ(bf16_spec.graph, f32_spec.graph);
+    EXPECT_EQ(bf16_spec.adj_spatial.values_dtype(), DType::kBf16);
+    EXPECT_EQ(bf16_spec.adj_temporal.values_dtype(), DType::kBf16);
+    ExpectSameGraph(BytesOf(bf16_spec),
+                    ReferenceGraph(c.dataset, c.split, bf16));
+    EXPECT_EQ(f32_spec.adj_spatial.values_dtype(), DType::kF32);
+    EXPECT_EQ(f32_spec.adj_temporal.values_dtype(), DType::kF32);
+    ExpectSameGraph(BytesOf(f32_spec), before);
+  }
+}
+
+TEST(SharedGraphTest, ConcurrentBuildsOfOneKeyAgree) {
+  const GraphCase c = MakeGraphCase();
+  const GraphBytes reference = ReferenceGraph(c.dataset, c.split, c.config);
+  constexpr int kThreads = 4;
+  std::vector<ModelSpec> specs(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&c, &specs, i] { specs[i] = BuildSpec(c, c.config); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int i = 0; i < kThreads; ++i) {
+    SCOPED_TRACE(i);
+    // A build that lost the race adopts the graph published first.
+    EXPECT_EQ(specs[i].graph, specs[0].graph);
+    ExpectSameGraph(BytesOf(specs[i]), reference);
+  }
 }
 
 // ---- Server ----
