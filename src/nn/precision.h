@@ -24,10 +24,9 @@ namespace stsm {
 // storage under the existing impls, so views and owner modules agree.
 void CastModuleForServing(Module* module, DType dtype);
 
-// Resident parameter bytes of the module at its current dtypes. This is
-// the number bench_serve_load reports per registry entry; for a bf16-cast
-// model it is half the fp32 figure (modulo nothing — every parameter
-// converts).
+// Resident parameter bytes of the module at its current dtypes
+// (ServedModel::weight_bytes). For a bf16-cast model it is exactly half the
+// fp32 figure: every parameter converts.
 int64_t ModuleWeightBytes(const Module& module);
 
 }  // namespace stsm

@@ -1,8 +1,7 @@
 #include "serve/cache.h"
 
 #include <cstring>
-
-#include "common/prof.h"
+#include <utility>
 
 namespace stsm {
 namespace serve {
@@ -34,65 +33,36 @@ size_t CacheKeyHash::operator()(const CacheKey& key) const {
   return static_cast<size_t>(hash);
 }
 
-ForecastCache::ForecastCache(size_t capacity, CacheProfNames counters,
-                             DType entry_dtype)
-    : capacity_(capacity), counters_(counters), entry_dtype_(entry_dtype) {}
+ForecastCache::ForecastCache(size_t capacity) : capacity_(capacity) {}
 
 bool ForecastCache::Lookup(const CacheKey& key, std::vector<float>* out) {
   MutexLock lock(mutex_);
   auto it = index_.find(key);
   if (it == index_.end()) {
     ++stats_.misses;
-    STSM_PROF_COUNT(counters_.miss, 1);
     return false;
   }
   entries_.splice(entries_.begin(), entries_, it->second);
-  if (entry_dtype_ == DType::kBf16) {
-    const std::vector<uint16_t>& narrow = it->second->forecast_bf16;
-    out->resize(narrow.size());
-    for (size_t i = 0; i < narrow.size(); ++i) {
-      (*out)[i] = F32FromBf16(narrow[i]);  // Exact widening.
-    }
-  } else {
-    *out = it->second->forecast;
-  }
+  *out = it->second->forecast;
   ++stats_.hits;
-  STSM_PROF_COUNT(counters_.hit, 1);
   return true;
 }
 
 void ForecastCache::Insert(const CacheKey& key, std::vector<float> forecast) {
   if (capacity_ == 0) return;
-  // Narrow outside the lock: the RNE rounding loop is per-element work that
-  // the request fast path should not serialise on.
-  std::vector<uint16_t> narrow;
-  if (entry_dtype_ == DType::kBf16) {
-    narrow.resize(forecast.size());
-    for (size_t i = 0; i < forecast.size(); ++i) {
-      narrow[i] = Bf16FromF32(forecast[i]);
-    }
-    forecast.clear();
-    forecast.shrink_to_fit();
-  }
   MutexLock lock(mutex_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    stats_.payload_bytes -= it->second->payload_bytes();
     it->second->forecast = std::move(forecast);
-    it->second->forecast_bf16 = std::move(narrow);
-    stats_.payload_bytes += it->second->payload_bytes();
     entries_.splice(entries_.begin(), entries_, it->second);
     return;
   }
   if (entries_.size() >= capacity_) {
-    stats_.payload_bytes -= entries_.back().payload_bytes();
     index_.erase(entries_.back().key);
     entries_.pop_back();
     ++stats_.evictions;
-    STSM_PROF_COUNT(counters_.evict, 1);
   }
-  entries_.push_front(Entry{key, std::move(forecast), std::move(narrow)});
-  stats_.payload_bytes += entries_.front().payload_bytes();
+  entries_.push_front(Entry{key, std::move(forecast)});
   index_[key] = entries_.begin();
 }
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
-#include "tensor/dtype.h"
 
 namespace stsm {
 namespace serve {
@@ -42,44 +41,22 @@ struct CacheKeyHash {
   size_t operator()(const CacheKey& key) const;
 };
 
+// Monotonic since construction; a server reports its cache's counters in
+// ServerStats::cache, so a sharded front-end has them per shard.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  // Resident forecast payload bytes right now (a gauge, not a counter):
-  // sum over entries of element count x element size at the entry dtype.
-  // bf16 entries hold half the bytes of fp32 ones; bench_serve_load
-  // reports this per cache.
-  uint64_t payload_bytes = 0;
 };
 
-// Prof counter names recorded by a cache instance. The defaults are the
-// process-wide `serve.cache.*` counters; a sharded deployment passes
-// per-shard names (`serve.cache.shard<k>.*`, interned by ShardedRegistry)
-// so each shard's hit rate is attributable in the profile. Names must have
-// static storage duration — the prof collectors cache cells by pointer.
-struct CacheProfNames {
-  const char* hit = "serve.cache.hit";
-  const char* miss = "serve.cache.miss";
-  const char* evict = "serve.cache.evict";
-};
-
-// Fixed-capacity LRU map from CacheKey to a [horizon x regions] forecast.
-//
-// entry_dtype selects the resident representation: kF32 stores forecasts
-// verbatim; kBf16 rounds them (RNE) on Insert and widens on Lookup, halving
-// the cache's payload bytes. The lookup API stays fp32 either way — callers
-// never see the narrow form. bf16 entries round the *served* values, which
-// is within the same Table 4 tolerance budget as bf16 weights (DESIGN.md
-// §13); the default is fp32 so existing deployments are byte-identical.
+// Fixed-capacity LRU map from CacheKey to a [horizon x regions] fp32
+// forecast, stored verbatim.
 class ForecastCache {
  public:
-  explicit ForecastCache(size_t capacity, CacheProfNames counters = {},
-                         DType entry_dtype = DType::kF32);
+  explicit ForecastCache(size_t capacity);
 
-  // Copies the cached forecast into `out` (widening bf16 entries) and
-  // promotes the entry to most-recently-used. Counts a hit or a miss
-  // either way.
+  // Copies the cached forecast into `out` and promotes the entry to
+  // most-recently-used. Counts a hit or a miss either way.
   bool Lookup(const CacheKey& key, std::vector<float>* out)
       STSM_EXCLUDES(mutex_);
 
@@ -92,21 +69,12 @@ class ForecastCache {
   CacheStats stats() const STSM_EXCLUDES(mutex_);
 
  private:
-  // Exactly one of the payload vectors is populated, per entry_dtype_.
   struct Entry {
     CacheKey key;
     std::vector<float> forecast;
-    std::vector<uint16_t> forecast_bf16;
-
-    uint64_t payload_bytes() const {
-      return forecast.size() * sizeof(float) +
-             forecast_bf16.size() * sizeof(uint16_t);
-    }
   };
 
   const size_t capacity_;
-  const CacheProfNames counters_;
-  const DType entry_dtype_;
   mutable Mutex mutex_;
   // Front = most recently used. `index_` iterators stay valid across the
   // LRU splices (std::list), so promote-then-read is safe under the lock.

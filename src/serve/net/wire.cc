@@ -111,7 +111,7 @@ void EncodeResponse(const ResponseFrame& frame, std::vector<uint8_t>* out) {
   AppendHeader(FrameType::kResponse, payload, out);
   Append<uint64_t>(frame.id, out);
   Append<uint8_t>(static_cast<uint8_t>(response.status), out);
-  Append<uint8_t>(response.cache_hit ? 1 : 0, out);
+  Append<uint8_t>(response.cache_hit ? kResponseFlagCacheHit : 0, out);
   Append<uint16_t>(static_cast<uint16_t>(message_len), out);
   Append<uint32_t>(static_cast<uint32_t>(response.horizon), out);
   Append<uint32_t>(static_cast<uint32_t>(response.batch_size), out);
@@ -217,6 +217,9 @@ bool DecodeResponsePayload(const uint8_t* payload, size_t size,
   if (status > static_cast<uint8_t>(Status::kError)) {
     return Fail(error, "unknown status tag");
   }
+  if ((flags & ~kResponseFlagCacheHit) != 0) {
+    return Fail(error, "unknown response flag bits");
+  }
   if (message_len > kMaxMessageBytes) {
     return Fail(error, "response message too long");
   }
@@ -227,7 +230,7 @@ bool DecodeResponsePayload(const uint8_t* payload, size_t size,
   }
   ForecastResponse& response = out->response;
   response.status = static_cast<Status>(status);
-  response.cache_hit = (flags & 1) != 0;
+  response.cache_hit = (flags & kResponseFlagCacheHit) != 0;
   response.horizon = static_cast<int>(horizon);
   response.batch_size = static_cast<int>(batch_size);
   response.message.resize(message_len);

@@ -23,7 +23,8 @@
 //
 // Response payload (server -> client):
 //
-//   u64 id, u8 status (Status tag), u8 flags (bit 0 = cache hit),
+//   u64 id, u8 status (Status tag), u8 flags (bit 0 = cache hit; every
+//   other bit must be 0),
 //   u16 message_len (<= kMaxMessageBytes), u32 horizon, u32 batch_size,
 //   u32 forecast_len, then message bytes and forecast floats.
 //
@@ -57,6 +58,9 @@ constexpr size_t kHeaderBytes = 12;
 constexpr size_t kMaxPayloadBytes = 16u << 20;
 constexpr size_t kMaxModelNameBytes = 256;
 constexpr size_t kMaxMessageBytes = 1024;
+// The one defined response flag; a response with any other flag bit set is
+// malformed, so every accepted response re-encodes to its own bytes.
+constexpr uint8_t kResponseFlagCacheHit = 1;
 
 enum class FrameType : uint8_t { kRequest = 1, kResponse = 2 };
 

@@ -100,8 +100,8 @@ class ServedModel {
   bool healthy() const { return model_ != nullptr; }
 
   // Resident parameter bytes at the serving dtype (0 when unhealthy). For
-  // spec.config.serve_dtype == kBf16 this is half the fp32 figure;
-  // bench_serve_load reports it per registry entry.
+  // spec.config.serve_dtype == kBf16 this is exactly half the fp32 figure
+  // (ModelSpecTest.Bf16ServingParity).
   int64_t weight_bytes() const { return weight_bytes_; }
 
   // Batched no-grad forward. inputs: [B, T, N, 1] normalised windows;

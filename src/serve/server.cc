@@ -54,8 +54,7 @@ ForecastServer::ForecastServer(const ModelRegistry* registry,
                                const ServerConfig& config)
     : registry_(registry),
       config_(ValidatedConfig(config)),
-      cache_(static_cast<size_t>(config.cache_capacity),
-             config.cache_counters, config.cache_dtype),
+      cache_(static_cast<size_t>(config.cache_capacity)),
       queue_(static_cast<size_t>(config.queue_capacity)),
       batch_size_counts_(
           new std::atomic<uint64_t>[config.batch_max + 1]()) {
@@ -79,7 +78,6 @@ void ForecastServer::Stop() {
 void ForecastServer::SubmitAsync(ForecastRequest request,
                                  ResponseCallback done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  STSM_PROF_COUNT("serve.requests", 1);
   const Clock::time_point now = Clock::now();
 
   // Validation against the registered model's shapes.
@@ -87,7 +85,6 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
       registry_->Find(request.model);
   if (model == nullptr) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    STSM_PROF_COUNT("serve.errors", 1);
     done(ErrorResponse("unknown model: " + request.model));
     return;
   }
@@ -96,14 +93,12 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
       static_cast<size_t>(spec.config.input_length) * spec.num_nodes;
   if (request.window.size() != expected_window || request.regions.empty()) {
     errors_.fetch_add(1, std::memory_order_relaxed);
-    STSM_PROF_COUNT("serve.errors", 1);
     done(ErrorResponse("bad request shape"));
     return;
   }
   for (int region : request.regions) {
     if (region < 0 || region >= spec.num_nodes) {
       errors_.fetch_add(1, std::memory_order_relaxed);
-      STSM_PROF_COUNT("serve.errors", 1);
       done(ErrorResponse("region id out of range"));
       return;
     }
@@ -142,7 +137,6 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
   ResponseCallback on_reject = pending.done;
   if (!queue_.TryPush(std::move(pending))) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    STSM_PROF_COUNT("serve.rejected", 1);
     ForecastResponse rejected;
     rejected.status = Status::kRejected;
     rejected.message = "queue full";
@@ -211,7 +205,6 @@ void ForecastServer::ProcessBatch(std::vector<Pending>* batch) {
 
   const int b = static_cast<int>(live.size());
   batches_.fetch_add(1, std::memory_order_relaxed);
-  STSM_PROF_COUNT("serve.batches", 1);
   batch_size_counts_[std::min(b, config_.batch_max)].fetch_add(
       1, std::memory_order_relaxed);
 
@@ -277,7 +270,6 @@ void ForecastServer::Respond(Pending* pending, ForecastResponse response) {
       break;
     case Status::kDegraded:
       degraded_.fetch_add(1, std::memory_order_relaxed);
-      STSM_PROF_COUNT("serve.degraded", 1);
       break;
     default:
       errors_.fetch_add(1, std::memory_order_relaxed);

@@ -50,18 +50,10 @@ struct ServerConfig {
   int cache_capacity = 128;
   // Applied to requests that arrive without a deadline; zero = unlimited.
   std::chrono::milliseconds default_deadline{0};
-  // Prof counter names for this server's forecast cache; a sharded
-  // front-end injects per-shard names (see cache.h).
-  CacheProfNames cache_counters{};
-  // Resident representation of cached forecasts. kBf16 halves the cache's
-  // payload bytes at the cost of RNE-rounding the cached values; lookups
-  // still return fp32 (see ForecastCache). Deployments serving bf16 weights
-  // typically set this to match — the rounding is within the same Table 4
-  // tolerance budget.
-  DType cache_dtype = DType::kF32;
 };
 
-// Point-in-time counters (monotonic since construction).
+// Point-in-time counters (monotonic since construction): the serve layer's
+// one record of request events; prof carries timings only.
 struct ServerStats {
   uint64_t submitted = 0;
   uint64_t ok = 0;          // Model-served responses (excludes cache hits).

@@ -1,17 +1,15 @@
 #include "serve/sharding.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
-#include "common/thread_annotations.h"
 
 namespace stsm {
 namespace serve {
 namespace {
 
-// FNV-1a 64-bit over the model name. Deterministic across processes (the
-// bench and its CI checks rely on stable name -> shard assignment).
+// FNV-1a 64-bit over the model name. Deterministic across processes, so a
+// model lands on the same shard in every run.
 uint64_t HashName(const std::string& name) {
   uint64_t hash = 1469598103934665603ULL;
   for (unsigned char c : name) {
@@ -23,32 +21,13 @@ uint64_t HashName(const std::string& name) {
 
 }  // namespace
 
-const char* InternProfName(const std::string& name) {
-  static Mutex mutex;
-  // Leaked on purpose: prof collectors hold these pointers until process
-  // exit, and the set of distinct names is tiny (3 per shard).
-  static auto* interned =
-      new std::unordered_map<std::string, std::unique_ptr<std::string>>();
-  MutexLock lock(mutex);
-  auto it = interned->find(name);
-  if (it == interned->end()) {
-    it = interned->emplace(name, std::make_unique<std::string>(name)).first;
-  }
-  return it->second->c_str();
-}
-
 ShardedRegistry::ShardedRegistry(const ShardedConfig& config)
     : shard_config_(config.server) {
   STSM_CHECK_GE(config.num_shards, 1)
       << "— ShardedConfig.num_shards must be positive";
   shards_.reserve(config.num_shards);
   for (int k = 0; k < config.num_shards; ++k) {
-    ServerConfig shard_server = config.server;
-    const std::string prefix = "serve.cache.shard" + std::to_string(k);
-    shard_server.cache_counters.hit = InternProfName(prefix + ".hit");
-    shard_server.cache_counters.miss = InternProfName(prefix + ".miss");
-    shard_server.cache_counters.evict = InternProfName(prefix + ".evict");
-    shards_.push_back(std::make_unique<Shard>(shard_server));
+    shards_.push_back(std::make_unique<Shard>(config.server));
   }
 }
 

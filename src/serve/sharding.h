@@ -5,10 +5,9 @@
 // Routing is by model name: FNV-1a(name) % K, computed once per request.
 // Every model's whole request stream lands on one shard, which keeps the
 // micro-batcher effective (a batch is same-model by construction) and makes
-// per-shard stats attributable to the models hashed there. Each shard's
-// forecast cache records per-shard prof counters
-// (`serve.cache.shard<k>.hit/miss/evict`), interned once at construction —
-// the prof collectors require static-lifetime names.
+// per-shard stats attributable to the models hashed there: shard_stats(k)
+// carries shard k's request counters and its cache's hits, misses and
+// evictions.
 //
 // Checkpoint hot-swap: Swap(spec) routes to the owning shard's registry,
 // whose Load builds the replacement model outside the lock and flips the
@@ -32,16 +31,10 @@
 namespace stsm {
 namespace serve {
 
-// Returns a pointer with static storage duration to a string equal to
-// `name`, interning it on first use. Needed because prof counter names are
-// cached by pointer; exposed for tests.
-const char* InternProfName(const std::string& name);
-
 struct ShardedConfig {
   // Number of {registry, server} shards; must be >= 1.
   int num_shards = 2;
-  // Per-shard server configuration. cache_counters is overridden per shard
-  // with the interned serve.cache.shard<k>.* names.
+  // Per-shard server configuration.
   ServerConfig server;
 };
 

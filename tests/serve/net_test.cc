@@ -2,18 +2,23 @@
 // through the epoll listener, pipelining, back-pressure read pauses,
 // malformed-frame rejection, per-shard routing and cache stats, registry
 // unload/hot-swap transitions (including the TSan-exercised
-// replace-while-Find race), and ServerConfig construction validation.
+// replace-while-Find race), socket sessions that hot-swap a checkpoint
+// mid-stream (fp32, bf16, and CSR with a pooled-buffer leak check), and
+// ServerConfig construction validation.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_annotations.h"
 #include "core/st_model.h"
 #include "data/simulator.h"
 #include "data/splits.h"
@@ -25,6 +30,8 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/sharding.h"
+#include "tensor/dtype.h"
+#include "tensor/pool.h"
 #include "testing/temp_dir.h"
 
 namespace stsm {
@@ -122,21 +129,26 @@ net::RequestFrame MakeFrame(uint64_t id, const std::string& model,
   return frame;
 }
 
-// A ShardedRegistry with both model kinds loaded, fronted by a listener on
-// an ephemeral loopback port.
+// A ShardedRegistry serving `specs` (by default both fixture model kinds),
+// fronted by a listener on an ephemeral loopback port.
 struct LoopbackServer {
-  explicit LoopbackServer(net::ListenerConfig config = {},
-                          ShardedConfig sharded_config = {})
-      : sharded(sharded_config),
+  explicit LoopbackServer(net::ListenerConfig config = {})
+      : LoopbackServer(
+            std::vector<ModelSpec>{Fixture().spec_tcn, Fixture().spec_trans},
+            std::move(config)) {}
+
+  explicit LoopbackServer(const std::vector<ModelSpec>& specs,
+                          net::ListenerConfig config = {})
+      : sharded(ShardedConfig{}),
         listener(
             [this](ForecastRequest request,
                    std::function<void(ForecastResponse)> done) {
               sharded.SubmitAsync(std::move(request), std::move(done));
             },
             std::move(config)) {
-    NetFixture& f = Fixture();
-    EXPECT_TRUE(sharded.Load(f.spec_tcn).healthy);
-    EXPECT_TRUE(sharded.Load(f.spec_trans).healthy);
+    for (const ModelSpec& spec : specs) {
+      EXPECT_TRUE(sharded.Load(spec).healthy) << spec.name;
+    }
     std::string error;
     EXPECT_TRUE(listener.Start(&error)) << error;
   }
@@ -193,15 +205,6 @@ TEST(ShardedRegistryTest, PerShardCacheStatsAttributeToTheOwningShard) {
     EXPECT_EQ(stats.submitted, 2u) << "shard " << shard;
     EXPECT_GE(stats.cache.hits, 1u) << "shard " << shard;
   }
-}
-
-TEST(ShardedRegistryTest, InternProfNameReturnsStablePointers) {
-  const char* a = InternProfName("serve.cache.shard0.hit");
-  const char* b = InternProfName("serve.cache.shard0.hit");
-  const char* c = InternProfName("serve.cache.shard1.hit");
-  EXPECT_EQ(a, b);  // Same name, same static-lifetime pointer.
-  EXPECT_NE(a, c);
-  EXPECT_STREQ(c, "serve.cache.shard1.hit");
 }
 
 // ---- registry load/unload/hot-swap -----------------------------------------
@@ -463,6 +466,223 @@ TEST(NetIngressTest, HalfCloseDrainsResponsesThenClosesGracefully) {
   // After the last response the server closes its side too.
   EXPECT_FALSE(client.ReadResponse(&response, &error));
   EXPECT_TRUE(WaitFor([&] { return server.listener.stats().closed >= 1; }));
+}
+
+// ---- socket sessions with a mid-stream hot-swap ----------------------------
+
+// Ceiling on any one request's send-to-read time in a socket session. It
+// is a stall detector, not a latency target: an ingress stall or a lost
+// wakeup shows as multi-second waits even at this load, while a healthy
+// session stays orders of magnitude below it, TSan's slowdown included.
+constexpr double kSendToReadCeilingMs = 10000.0;
+
+// What one socket session saw, summed over its connections.
+struct SocketSession {
+  int sent = 0;
+  int answered = 0;
+  int ok = 0;
+  int degraded = 0;
+  int rejected = 0;
+  int errors = 0;
+  int unmatched = 0;  // Responses whose id was never sent (or came twice).
+  double max_send_to_read_ms = 0.0;
+  net::ListenerStats listener;
+};
+
+// One connection of a session: a sender thread pipelines frames and
+// half-closes; a reader thread drains responses until the server's
+// graceful close. SendRequest touches only the socket and ReadResponse
+// owns the client's read buffer, so the two threads can share the client.
+struct SessionConnection {
+  net::NetClient client;
+  Mutex mutex;
+  std::unordered_map<uint64_t, Clock::time_point> sent_at
+      STSM_GUARDED_BY(mutex);
+  int sent = 0;         // Written by the sender only.
+  SocketSession tally;  // Written by the reader only.
+};
+
+// Several loopback connections pipeline a fixed number of requests that
+// alternate between the two served models, so both shards serve. Every
+// sender stops halfway; the "stsm" checkpoint is then hot-swapped
+// kSwaps times (alternating `swap_a` and `swap_b`) while the first halves
+// are still in flight, and the senders finish their streams. 3 x 16
+// requests never exceed one shard's default queue capacity (64).
+SocketSession RunSocketHotSwap(LoopbackServer* server, const ModelSpec& swap_a,
+                               const ModelSpec& swap_b) {
+  constexpr int kConnections = 3;
+  constexpr int kPerConnection = 16;
+  constexpr int kSwaps = 4;
+  std::vector<std::unique_ptr<SessionConnection>> connections;
+  for (int c = 0; c < kConnections; ++c) {
+    connections.push_back(std::make_unique<SessionConnection>());
+    connections.back()->client = server->Connect();
+  }
+
+  std::atomic<int> halfway{0};
+  std::atomic<bool> swapped{false};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConnections; ++c) {
+    SessionConnection* conn = connections[c].get();
+    threads.emplace_back([&, conn, c] {
+      for (int i = 0; i < kPerConnection; ++i) {
+        if (i == kPerConnection / 2) {
+          halfway.fetch_add(1, std::memory_order_acq_rel);
+          WaitFor([&] { return swapped.load(std::memory_order_acquire); },
+                  std::chrono::seconds(30));
+        }
+        const uint64_t id = static_cast<uint64_t>(c) * 1000 + i;
+        const net::RequestFrame frame = MakeFrame(
+            id, (i % 2 == 0) ? "stsm" : "stsm-trans", (c * 5 + i) % 32);
+        {
+          MutexLock lock(conn->mutex);
+          conn->sent_at.emplace(id, Clock::now());
+        }
+        std::string error;
+        if (!conn->client.SendRequest(frame, &error)) {
+          ADD_FAILURE() << "connection " << c << ": " << error;
+          break;
+        }
+        ++conn->sent;
+      }
+      conn->client.ShutdownWrite();
+    });
+    threads.emplace_back([conn] {
+      net::ResponseFrame frame;
+      std::string error;
+      while (conn->client.ReadResponse(&frame, &error)) {
+        const Clock::time_point read_at = Clock::now();
+        SocketSession& tally = conn->tally;
+        {
+          MutexLock lock(conn->mutex);
+          const auto it = conn->sent_at.find(frame.id);
+          if (it == conn->sent_at.end()) {
+            ++tally.unmatched;
+            continue;
+          }
+          tally.max_send_to_read_ms = std::max(
+              tally.max_send_to_read_ms,
+              std::chrono::duration<double, std::milli>(read_at - it->second)
+                  .count());
+          conn->sent_at.erase(it);
+        }
+        ++tally.answered;
+        switch (frame.response.status) {
+          case Status::kOk:
+            ++tally.ok;
+            break;
+          case Status::kDegraded:
+            ++tally.degraded;
+            break;
+          case Status::kRejected:
+            ++tally.rejected;
+            break;
+          case Status::kError:
+            ++tally.errors;
+            break;
+        }
+      }
+    });
+  }
+
+  EXPECT_TRUE(WaitFor(
+      [&] { return halfway.load(std::memory_order_acquire) == kConnections; },
+      std::chrono::seconds(30)))
+      << "senders never reached the swap point";
+  for (int swap = 0; swap < kSwaps; ++swap) {
+    const LoadResult result =
+        server->sharded.Swap(swap % 2 == 0 ? swap_a : swap_b);
+    EXPECT_TRUE(result.healthy) << "swap " << swap;
+    EXPECT_EQ(result.previous, EntryHealth::kHealthy) << "swap " << swap;
+  }
+  swapped.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+
+  SocketSession session;
+  for (const auto& conn : connections) {
+    const SocketSession& tally = conn->tally;
+    session.sent += conn->sent;
+    session.answered += tally.answered;
+    session.ok += tally.ok;
+    session.degraded += tally.degraded;
+    session.rejected += tally.rejected;
+    session.errors += tally.errors;
+    session.unmatched += tally.unmatched;
+    session.max_send_to_read_ms =
+        std::max(session.max_send_to_read_ms, tally.max_send_to_read_ms);
+  }
+  EXPECT_EQ(session.sent, kConnections * kPerConnection);
+  session.listener = server->listener.stats();
+  return session;
+}
+
+// Every frame of a session answered kOk: no request carries a deadline,
+// every swap installs a healthy model and no shard queue can fill, so
+// nothing may error, degrade or be rejected.
+void ExpectEveryFrameServed(const SocketSession& session) {
+  EXPECT_EQ(session.answered, session.sent);
+  EXPECT_EQ(session.unmatched, 0);
+  EXPECT_EQ(session.listener.frames_in, static_cast<uint64_t>(session.sent));
+  EXPECT_EQ(session.listener.frames_out, session.listener.frames_in);
+  EXPECT_EQ(session.listener.malformed, 0u);
+  EXPECT_EQ(session.errors, 0);
+  EXPECT_EQ(session.degraded, 0);
+  EXPECT_EQ(session.rejected, 0);
+  EXPECT_EQ(session.ok, session.sent);
+  EXPECT_LT(session.max_send_to_read_ms, kSendToReadCeilingMs);
+}
+
+// The fixture's three specs rebuilt with `tweak` applied to both configs.
+struct ServedSpecs {
+  ModelSpec tcn;
+  ModelSpec trans;
+  ModelSpec tcn_v2;
+};
+
+ServedSpecs BuildServedSpecs(void (*tweak)(StsmConfig*)) {
+  const NetFixture& f = Fixture();
+  StsmConfig tcn = f.config_tcn;
+  tweak(&tcn);
+  StsmConfig trans = f.config_trans;
+  tweak(&trans);
+  return {BuildModelSpec("stsm", f.dataset, f.split, tcn, f.ckpt_tcn),
+          BuildModelSpec("stsm-trans", f.dataset, f.split, trans,
+                         f.ckpt_trans),
+          BuildModelSpec("stsm", f.dataset, f.split, tcn, f.ckpt_tcn_v2)};
+}
+
+TEST(NetIngressTest, SocketHotSwapAnswersEveryFrame) {
+  NetFixture& f = Fixture();
+  LoopbackServer server;
+  ExpectEveryFrameServed(RunSocketHotSwap(&server, f.spec_tcn_v2, f.spec_tcn));
+}
+
+TEST(NetIngressTest, SocketHotSwapAtBf16NeverDegrades) {
+  const ServedSpecs specs = BuildServedSpecs(
+      [](StsmConfig* config) { config->serve_dtype = DType::kBf16; });
+  ASSERT_EQ(specs.tcn.adj_spatial.values_dtype(), DType::kBf16);
+  LoopbackServer server(std::vector<ModelSpec>{specs.tcn, specs.trans});
+  // bf16 rounding must not push a single request off the healthy path.
+  ExpectEveryFrameServed(RunSocketHotSwap(&server, specs.tcn_v2, specs.tcn));
+}
+
+TEST(NetIngressTest, CsrServeSessionReturnsEveryPooledBuffer) {
+  // Built first: the leaked fixture's own tensors predate the baseline.
+  Fixture();
+  const uint64_t live_before = BufferPool::Instance().Stats().live_buffers;
+  {
+    const ServedSpecs specs = BuildServedSpecs(
+        [](StsmConfig* config) { config->sparse_adjacency = true; });
+    ASSERT_TRUE(specs.tcn.adj_spatial.is_sparse());
+    ASSERT_TRUE(specs.tcn.adj_temporal.is_sparse());
+    LoopbackServer server(std::vector<ModelSpec>{specs.tcn, specs.trans});
+    ExpectEveryFrameServed(
+        RunSocketHotSwap(&server, specs.tcn_v2, specs.tcn));
+    EXPECT_GT(BufferPool::Instance().Stats().live_buffers, live_before);
+  }
+  // Specs, registries, models, activations and the CSR arrays (pooled too)
+  // are all gone with the server: every buffer went back to the pool.
+  EXPECT_EQ(BufferPool::Instance().Stats().live_buffers, live_before);
 }
 
 // ---- ServerConfig validation -----------------------------------------------

@@ -78,34 +78,6 @@ TEST(ForecastCacheTest, HashWindowSensitiveToValues) {
   EXPECT_EQ(HashWindow({1.0f, 2.0f}), HashWindow({1.0f, 2.0f}));
 }
 
-TEST(ForecastCacheTest, Bf16EntriesRoundTripAndHalvePayload) {
-  ForecastCache f32_cache(4);
-  ForecastCache bf16_cache(4, CacheProfNames{"t.hit", "t.miss", "t.evict"},
-                           DType::kBf16);
-  const CacheKey key{"m", 1, 0, {0}};
-  const std::vector<float> forecast = {1.0f, -2.5f, 0.333333f, 1e6f};
-  f32_cache.Insert(key, forecast);
-  bf16_cache.Insert(key, forecast);
-  // The fp32 cache returns the values verbatim; the bf16 cache returns the
-  // RNE-rounded values, widened — never raw bf16 bits.
-  std::vector<float> out;
-  ASSERT_TRUE(bf16_cache.Lookup(key, &out));
-  ASSERT_EQ(out.size(), forecast.size());
-  for (size_t i = 0; i < forecast.size(); ++i) {
-    EXPECT_EQ(out[i], F32FromBf16(Bf16FromF32(forecast[i]))) << i;
-    EXPECT_NEAR(out[i], forecast[i],
-                1e-2f * std::max(1.0f, std::fabs(forecast[i])));
-  }
-  // Payload accounting: bf16 entries hold exactly half the bytes.
-  EXPECT_EQ(f32_cache.stats().payload_bytes,
-            forecast.size() * sizeof(float));
-  EXPECT_EQ(bf16_cache.stats().payload_bytes,
-            forecast.size() * sizeof(uint16_t));
-  // Eviction and replacement keep the gauge exact.
-  bf16_cache.Insert(key, {1.0f, 2.0f});
-  EXPECT_EQ(bf16_cache.stats().payload_bytes, 2 * sizeof(uint16_t));
-}
-
 // ---- Queue ----
 
 struct Item {

@@ -2,10 +2,8 @@
 """Validates BufferPool counters in a profile JSON emitted by the bench harness.
 
 Usage: check_pool_stats.py [--smoke-baseline] [--baselines FILE]
-                           <profile.json> [serve_load.json]
+                           <profile.json>
        check_pool_stats.py --micro [--baselines FILE] <benchmark.json>
-       check_pool_stats.py --serve-bf16 [--baselines FILE]
-                           <profile.json> <serve_load.json>
 
 With --smoke-baseline, additionally asserts that pool.acquire stays below
 the checked-in smoke-bench ceiling (zero-copy views must allocate strictly
@@ -29,27 +27,6 @@ Tensor::FromVector) was released back by the time the profile was written.
 When the profile carries the sparse substrate's counters, additionally
 asserts sparse.csr_create == sparse.csr_destroy — no CSR matrix may outlive
 the run.
-
-When a serve_load.json (emitted by bench_serve_load) is given as the second
-argument, additionally asserts the serving layer behaved: a nonzero forecast
-cache hit rate, at least one degraded response from the injected deadline
-misses, and positive throughput. The sharded front-end is held to its own
-bars: the profile must carry per-shard serve.cache.shard<k>.* counters with
-hits on at least two shards (so the replay phase provably exercised both
-shard caches), and the open_loop section must show Poisson phases with
-monotonic tail percentiles, zero transport/server errors, zero malformed
-frames, at least one mid-load checkpoint hot-swap, zero requests failed by
-the swaps, and (at smoke scale) a p99 under the serve.open_loop.p99_ms
-ceiling in bench/baselines.json. Every serve check also asserts the
-measured bf16 weight-compression ratio (weights.bf16_weight_ratio in
-serve_load.json) stays at or above the serve.bf16.weight_ratio floor in
-bench/baselines.json.
-
-With --serve-bf16, the run under check is a reduced-precision serving run
-(bench_serve_load --smoke --open-loop with STSM_SERVE_DTYPE=bf16): the
-report must say serve_dtype "bf16", must contain zero degraded and zero
-errored requests end to end, and is held to the same open-loop and
-weight-ratio bars.
 
 Exit status 0 on success; 1 with a diagnostic on failure. Stdlib only.
 """
@@ -81,24 +58,6 @@ def load_baseline(path, scale, counter):
     except (KeyError, TypeError, ValueError):
         print(f"FAIL: {path} has no usable entry for "
               f"[{scale!r}][{counter!r}]['max']", file=sys.stderr)
-        sys.exit(1)
-
-
-def load_floor(path, section, key):
-    """Returns the floor (a 'min' entry) for [section][key], or exits loudly
-    — same rationale as load_baseline."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            baselines = json.load(f)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"FAIL: cannot load baselines from {path}: {error}",
-              file=sys.stderr)
-        sys.exit(1)
-    try:
-        return float(baselines[section][key]["min"])
-    except (KeyError, TypeError, ValueError):
-        print(f"FAIL: {path} has no usable entry for "
-              f"[{section!r}][{key!r}]['min']", file=sys.stderr)
         sys.exit(1)
 
 
@@ -226,190 +185,6 @@ def check_pool(path, baseline=None):
     return 0
 
 
-def check_serve_shards(path, report, profile_path):
-    """Per-shard cache counters: present for every shard the report claims,
-    and with hits on at least two of them — the replay phase alternates model
-    kinds precisely so both shard caches serve."""
-    num_shards = int(report.get("num_shards", 0))
-    if num_shards < 2:
-        print(f"FAIL: {path}: num_shards is {num_shards} — the load bench "
-              "must drive a sharded front-end (>= 2 shards)", file=sys.stderr)
-        return 1
-    with open(profile_path, "r", encoding="utf-8") as f:
-        profile = json.load(f)
-    counters = {c["name"]: c["total_ns"] for c in profile.get("counters", [])}
-    shards_with_hits = 0
-    for shard in range(num_shards):
-        prefix = f"serve.cache.shard{shard}"
-        missing = [f"{prefix}{suffix}" for suffix in (".hit", ".miss")
-                   if f"{prefix}{suffix}" not in counters]
-        if missing:
-            print(f"FAIL: {profile_path} is missing per-shard cache "
-                  f"counters: {', '.join(missing)} — shard {shard}'s "
-                  "ForecastCache is not wired to its interned prof names",
-                  file=sys.stderr)
-            return 1
-        if counters[f"{prefix}.hit"] > 0:
-            shards_with_hits += 1
-    if shards_with_hits < 2:
-        print(f"FAIL: {profile_path}: only {shards_with_hits} shard(s) "
-              "recorded cache hits — the replay phase must alternate model "
-              "kinds so every shard's cache serves", file=sys.stderr)
-        return 1
-    return 0
-
-
-def check_serve_open_loop(path, report, baselines_path):
-    """The open-loop network section: rates present with sane tails, zero
-    errors, zero malformed frames, and hot-swaps that failed nothing."""
-    open_loop = report.get("open_loop")
-    if not isinstance(open_loop, dict) or not open_loop.get("rates"):
-        print(f"FAIL: {path}: no open_loop.rates — bench_serve_load must "
-              "drive the real socket path with Poisson arrivals",
-              file=sys.stderr)
-        return 1
-    worst_p99 = 0.0
-    for rate in open_loop["rates"]:
-        label = f"open_loop rate {rate.get('target_rps', '?')}rps"
-        if rate.get("errors", -1) != 0:
-            print(f"FAIL: {path}: {label} saw {rate.get('errors')} kError "
-                  "response(s) — the serving path must never error under "
-                  "well-formed load", file=sys.stderr)
-            return 1
-        if rate.get("completed") != rate.get("sent"):
-            print(f"FAIL: {path}: {label} completed "
-                  f"{rate.get('completed')} of {rate.get('sent')} sent — "
-                  "responses went missing over the wire", file=sys.stderr)
-            return 1
-        tails = [rate.get(key, 0.0)
-                 for key in ("p50_ms", "p95_ms", "p99_ms", "p999_ms")]
-        if any(hi < lo for lo, hi in zip(tails, tails[1:])):
-            print(f"FAIL: {path}: {label} percentiles are not monotonic: "
-                  f"{tails}", file=sys.stderr)
-            return 1
-        worst_p99 = max(worst_p99, float(rate.get("p99_ms", 0.0)))
-    if int(open_loop.get("hot_swaps", 0)) < 1:
-        print(f"FAIL: {path}: open_loop.hot_swaps is 0 — the bench must "
-              "hot-swap a checkpoint while the socket load runs",
-              file=sys.stderr)
-        return 1
-    if open_loop.get("swap_failed_requests", -1) != 0:
-        print(f"FAIL: {path}: {open_loop.get('swap_failed_requests')} "
-              "request(s) failed during checkpoint hot-swaps — a swap is a "
-              "pointer flip and must strand nothing", file=sys.stderr)
-        return 1
-    if open_loop.get("listener", {}).get("malformed", -1) != 0:
-        print(f"FAIL: {path}: the listener counted malformed frames from "
-              "the bench's own well-formed clients", file=sys.stderr)
-        return 1
-    if report.get("scale") == "smoke":
-        ceiling = load_baseline(baselines_path, "smoke",
-                                "serve.open_loop.p99_ms")
-        if worst_p99 >= ceiling:
-            print(f"FAIL: {path}: open-loop p99 {worst_p99:.1f} ms did not "
-                  f"stay below the checked-in ceiling ({ceiling} ms) — the "
-                  "ingress or serving path regressed under load",
-                  file=sys.stderr)
-            return 1
-    return 0
-
-
-def check_weight_ratio(path, report, baselines_path):
-    """The measured bf16 weight-compression ratio must hold the checked-in
-    floor: bench_serve_load loads every checkpoint at both dtypes and
-    reports min-over-models f32_bytes / bf16_bytes."""
-    floor = load_floor(baselines_path, "serve", "serve.bf16.weight_ratio")
-    weights = report.get("weights")
-    if not isinstance(weights, dict) or "bf16_weight_ratio" not in weights:
-        print(f"FAIL: {path}: no weights.bf16_weight_ratio — "
-              "bench_serve_load must measure resident weight bytes at both "
-              "serving dtypes", file=sys.stderr)
-        return 1
-    ratio = float(weights["bf16_weight_ratio"])
-    if ratio < floor:
-        for row in weights.get("models", []):
-            print(f"  {row.get('model')}: f32 {row.get('f32_bytes')} B, "
-                  f"bf16 {row.get('bf16_bytes')} B "
-                  f"(ratio {row.get('ratio')})", file=sys.stderr)
-        print(f"FAIL: {path}: bf16 weight ratio {ratio:.3f} is below the "
-              f"checked-in floor {floor:.2f} — some parameters are not "
-              "converting to the serving dtype", file=sys.stderr)
-        return 1
-    print(f"OK: {path}: bf16 weight ratio {ratio:.3f} (floor {floor:.2f})")
-    return 0
-
-
-def check_serve_bf16(path, profile_path, baselines_path):
-    """A reduced-precision serving run: same open-loop bars as the fp32 run
-    plus serve_dtype provenance and a zero-degraded / zero-error bar — bf16
-    rounding must not push one request off the healthy path."""
-    with open(path, "r", encoding="utf-8") as f:
-        report = json.load(f)
-    if report.get("serve_dtype") != "bf16":
-        print(f"FAIL: {path}: serve_dtype is "
-              f"{report.get('serve_dtype')!r}, expected 'bf16' — was "
-              "bench_serve_load run with STSM_SERVE_DTYPE=bf16?",
-              file=sys.stderr)
-        return 1
-    if report.get("degraded", -1) != 0:
-        print(f"FAIL: {path}: {report.get('degraded')} degraded "
-              "response(s) in the bf16 serving run — reduced precision "
-              "must not degrade a single request", file=sys.stderr)
-        return 1
-    if report.get("errors", -1) != 0:
-        print(f"FAIL: {path}: {report.get('errors')} errored response(s) "
-              "in the bf16 serving run", file=sys.stderr)
-        return 1
-    status = check_serve_open_loop(path, report, baselines_path)
-    if status == 0:
-        status = check_weight_ratio(path, report, baselines_path)
-    if status != 0:
-        return status
-    print(f"OK: {path}: bf16 serving run — 0 degraded, 0 errors, cache "
-          f"payload {report.get('cache_payload_bytes', 0)} B")
-    return 0
-
-
-def check_serve(path, profile_path, baselines_path):
-    with open(path, "r", encoding="utf-8") as f:
-        report = json.load(f)
-
-    hit_rate = report.get("cache_hit_rate", 0.0)
-    if hit_rate <= 0.0:
-        print(f"FAIL: {path}: cache_hit_rate is {hit_rate} — the forecast "
-              "cache never hit (replayed queries must be served from cache)",
-              file=sys.stderr)
-        return 1
-    degraded = report.get("degraded", 0)
-    if degraded < 1:
-        print(f"FAIL: {path}: no degraded responses — injected deadline "
-              "misses must trigger the historical-average fallback",
-              file=sys.stderr)
-        return 1
-    qps = report.get("qps", 0.0)
-    if qps <= 0.0:
-        print(f"FAIL: {path}: qps is {qps}", file=sys.stderr)
-        return 1
-
-    status = check_serve_shards(path, report, profile_path)
-    if status == 0:
-        status = check_serve_open_loop(path, report, baselines_path)
-    if status == 0:
-        status = check_weight_ratio(path, report, baselines_path)
-    if status != 0:
-        return status
-
-    open_loop = report["open_loop"]
-    top = open_loop["rates"][-1]
-    print(f"OK: {path}: {qps:.1f} QPS, cache hit rate {hit_rate:.1%}, "
-          f"{degraded} degraded, p99 {report.get('latency_p99_ns', 0) / 1e6:.2f} ms, "
-          f"no-grad speedup {report.get('nograd_speedup', 0):.2f}x; "
-          f"open loop @{top.get('target_rps', 0):.0f}rps p99 "
-          f"{top.get('p99_ms', 0):.1f} ms, {open_loop.get('hot_swaps')} "
-          "hot swap(s), 0 swap failures")
-    return 0
-
-
 def main(argv):
     args = list(argv[1:])
     baselines_path = DEFAULT_BASELINES
@@ -424,30 +199,15 @@ def main(argv):
                   "<benchmark.json>", file=sys.stderr)
             return 1
         return check_micro(args[0], load_micro_baselines(baselines_path))
-    if "--serve-bf16" in args:
-        args.remove("--serve-bf16")
-        if len(args) != 2:
-            print(f"usage: {argv[0]} --serve-bf16 [--baselines FILE] "
-                  "<profile.json> <serve_load.json>", file=sys.stderr)
-            return 1
-        status = check_pool(args[0])
-        if status == 0:
-            status = check_serve_bf16(args[1], profile_path=args[0],
-                                      baselines_path=baselines_path)
-        return status
     baseline = None
     if "--smoke-baseline" in args:
         args.remove("--smoke-baseline")
         baseline = load_baseline(baselines_path, "smoke", "pool.acquire")
-    if len(args) not in (1, 2):
+    if len(args) != 1:
         print(f"usage: {argv[0]} [--smoke-baseline] [--baselines FILE] "
-              "<profile.json> [serve_load.json]", file=sys.stderr)
+              "<profile.json>", file=sys.stderr)
         return 1
-    status = check_pool(args[0], baseline=baseline)
-    if status == 0 and len(args) == 2:
-        status = check_serve(args[1], profile_path=args[0],
-                             baselines_path=baselines_path)
-    return status
+    return check_pool(args[0], baseline=baseline)
 
 
 if __name__ == "__main__":
