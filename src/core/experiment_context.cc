@@ -7,6 +7,7 @@
 #include "graph/adjacency.h"
 #include "graph/geo.h"
 #include "graph/road.h"
+#include "timeseries/pseudo_observations.h"
 
 namespace stsm {
 
@@ -82,6 +83,34 @@ Adjacency TemporalAdjacency(const SeriesMatrix& series,
       /*add_self_loops=*/true);
   if (sparse) return Adjacency(SparseCsr::FromDense(dtw));
   return Adjacency(std::move(dtw));
+}
+
+TestGraphOptions TestGraphOptionsFor(const StsmConfig& config,
+                                     int steps_per_day) {
+  TestGraphOptions options;
+  options.epsilon_s = config.epsilon_s;
+  options.binary_spatial_kernel = config.binary_spatial_kernel;
+  options.sparse_adjacency = config.sparse_adjacency;
+  options.pseudo_neighbors = config.pseudo_neighbors;
+  options.dtw = TemporalOptions(config, steps_per_day);
+  return options;
+}
+
+TestTimeGraph BuildTestTimeGraph(const ExperimentContext& context,
+                                 const TestGraphOptions& options) {
+  TestTimeGraph graph;
+  graph.series = context.normalized_full.TimeSlice(
+      context.time_split.train_steps, context.time_split.total_steps);
+  FillPseudoObservations(&graph.series, context.pseudo_distances(),
+                         context.unobserved, context.observed,
+                         options.pseudo_neighbors);
+  graph.spatial = NormalizeSpatial(
+      context.SpatialKernel(options.epsilon_s, options.binary_spatial_kernel),
+      options.sparse_adjacency);
+  graph.temporal =
+      TemporalAdjacency(graph.series, context.observed, context.unobserved,
+                        options.dtw, options.sparse_adjacency);
+  return graph;
 }
 
 }  // namespace stsm

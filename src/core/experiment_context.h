@@ -8,6 +8,10 @@
 //
 // Construction builds nothing that only one phase needs: the training slice
 // and the kernels are built on request.
+//
+// BuildTestTimeGraph is the one construction of the Section 3.5 test-time
+// inputs: StsmRunner::Evaluate forecasts from it and the serving registry
+// serves its adjacencies, so the served forecast is the evaluated one.
 
 #ifndef STSM_CORE_EXPERIMENT_CONTEXT_H_
 #define STSM_CORE_EXPERIMENT_CONTEXT_H_
@@ -64,6 +68,39 @@ Adjacency NormalizeSpatial(const SparseCsr& kernel, bool sparse);
 // The config's q_kk/q_ku/dtw_band for a series of `steps_per_day` slots.
 TemporalAdjacencyOptions TemporalOptions(const StsmConfig& config,
                                          int steps_per_day);
+
+// The graph hyper-parameters of the test-time graph: every config field
+// BuildTestTimeGraph reads. The serving registry keys its shared graphs on
+// this value, so the build cannot read a field the key leaves out.
+struct TestGraphOptions {
+  double epsilon_s = 0.0;
+  bool binary_spatial_kernel = false;
+  bool sparse_adjacency = false;  // CSR adjacencies when true, else dense.
+  int pseudo_neighbors = 0;
+  TemporalAdjacencyOptions dtw;  // q_kk, q_ku, dtw_band, steps_per_day.
+
+  bool operator==(const TestGraphOptions&) const = default;
+};
+
+// The config's test-time graph options for a series of `steps_per_day`
+// slots.
+TestGraphOptions TestGraphOptionsFor(const StsmConfig& config,
+                                     int steps_per_day);
+
+// The test-time inputs of Section 3.5. Row 0 of `series` is the absolute
+// step context.time_split.train_steps; evaluation windows keep absolute
+// starts (MakeWindowBatch's first_step) for their time-of-day features.
+struct TestTimeGraph {
+  // The normalised test period, the unobserved columns replaced by
+  // pseudo-observations (Eq. 3) from the observed ones. The fill is per
+  // time step, so it equals the whole-series fill sliced to the period.
+  SeriesMatrix series;
+  Adjacency spatial;   // Eq. 2 under epsilon_s, normalised by Eq. 6.
+  Adjacency temporal;  // A_dtw over `series`, row-normalised.
+};
+
+TestTimeGraph BuildTestTimeGraph(const ExperimentContext& context,
+                                 const TestGraphOptions& options);
 
 // The temporal-similarity adjacency A_dtw (Section 3.4.1) from `sources` to
 // `targets` over `series` under `options`, row-normalised with self-loops.

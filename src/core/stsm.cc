@@ -73,8 +73,7 @@ struct StsmRunner::State {
   SeriesMatrix train_observed;
   std::vector<double> dist_pseudo_train;  // Observed x observed.
 
-  Adjacency a_s_norm_full;   // Eq. 2 adjacency, normalised, full graph.
-  Adjacency a_s_norm_train;  // Normalised, observed sub-graph.
+  Adjacency a_s_norm_train;  // Eq. 2 adjacency, normalised, observed graph.
   MaskingContext mask_context;
 
   std::unique_ptr<StModel> model;
@@ -99,14 +98,14 @@ StsmRunner::StsmRunner(const SpatioTemporalDataset& dataset,
   s.dist_pseudo_train =
       SubDistances(c.pseudo_distances(), c.num_nodes(), c.observed);
 
-  // Spatial adjacency (Eq. 2), normalised over the full graph and over the
-  // observed sub-graph. The sub-graph adjacency for masking (Eq. 2 with
-  // epsilon_sg) stays in CSR since only its neighbour structure is read.
-  const SparseCsr kernel =
-      c.SpatialKernel(config.epsilon_s, config.binary_spatial_kernel);
-  s.a_s_norm_full = NormalizeSpatial(kernel, config.sparse_adjacency);
-  s.a_s_norm_train = NormalizeSpatial(SubAdjacency(kernel, c.observed),
-                                      config.sparse_adjacency);
+  // Spatial adjacency (Eq. 2), normalised over the observed sub-graph. The
+  // sub-graph adjacency for masking (Eq. 2 with epsilon_sg) stays in CSR
+  // since only its neighbour structure is read.
+  s.a_s_norm_train = NormalizeSpatial(
+      SubAdjacency(
+          c.SpatialKernel(config.epsilon_s, config.binary_spatial_kernel),
+          c.observed),
+      config.sparse_adjacency);
   MaskingConfig mask_config;
   mask_config.mask_ratio = config.mask_ratio;
   mask_config.top_k = config.top_k;
@@ -300,17 +299,10 @@ void StsmRunner::Evaluate(ExperimentResult* result) {
   NoGradGuard no_grad;
   const EvalModeScope eval_mode(s.model.get());
 
-  // Section 3.5: fill the unobserved region with pseudo-observations and
-  // build the temporal adjacency over the full graph from them.
-  SeriesMatrix test_input = c.normalized_full;
-  FillPseudoObservations(&test_input, c.pseudo_distances(), c.unobserved,
-                         c.observed, config_.pseudo_neighbors);
-  const SeriesMatrix test_period = test_input.TimeSlice(
-      c.time_split.train_steps, c.time_split.total_steps);
-  const Adjacency a_dtw_full =
-      TemporalAdjacency(test_period, c.observed, c.unobserved,
-                        TemporalOptions(config_, dataset_.steps_per_day),
-                        config_.sparse_adjacency);
+  // Section 3.5: the test period with the unobserved region pseudo-filled,
+  // and the full graph's adjacencies; the graph the registry serves.
+  const TestTimeGraph graph = BuildTestTimeGraph(
+      c, TestGraphOptionsFor(config_, dataset_.steps_per_day));
 
   std::vector<int> starts = CapWindowStarts(
       ValidWindowStarts(c.time_split.train_steps, c.time_split.total_steps,
@@ -325,10 +317,11 @@ void StsmRunner::Evaluate(ExperimentResult* result) {
     const std::vector<int> chunk_starts(
         starts.begin() + begin,
         starts.begin() + std::min(starts.size(), begin + chunk));
-    const WindowBatch batch = MakeWindowBatch(
-        test_input, chunk_starts, s.window_spec, dataset_.steps_per_day);
+    const WindowBatch batch =
+        MakeWindowBatch(graph.series, chunk_starts, s.window_spec,
+                        dataset_.steps_per_day, c.time_split.train_steps);
     const StModel::Output out = s.model->Forward(
-        batch.inputs, batch.input_time, s.a_s_norm_full, a_dtw_full);
+        batch.inputs, batch.input_time, graph.spatial, graph.temporal);
 
     // Collect predictions for the unobserved region, in raw units.
     const Tensor preds = out.predictions;  // [B, T', N, 1].

@@ -9,9 +9,11 @@
 //      temporal-similarity adjacency A_dtw^train, and optimise the
 //      prediction loss (Eq. 14) plus, optionally, the contrastive loss
 //      (Eq. 17-18) between the masked and the original graph view.
-//   4. At test time, fill the unobserved region with pseudo-observations,
-//      build A_dtw over the full graph, and forecast the unobserved
-//      locations (Section 3.5), reporting RMSE/MAE/MAPE/R2 in raw units.
+//   4. At test time, fill the unobserved region with pseudo-observations
+//      over the test period, build A_dtw over the full graph from them
+//      (BuildTestTimeGraph, the graph the serving registry serves), and
+//      forecast the unobserved locations (Section 3.5), reporting
+//      RMSE/MAE/MAPE/R2 in raw units.
 
 #ifndef STSM_CORE_STSM_H_
 #define STSM_CORE_STSM_H_

@@ -35,6 +35,12 @@ bool ParseFiniteDouble(const std::string& text, double* value) {
   return end != text.c_str() && std::isfinite(*value);
 }
 
+// Series values must be finite too: one NaN reading turns every loss and
+// metric NaN downstream, silently (DESIGN.md, "Non-finite values").
+bool ParseFiniteFloat(const std::string& text, float* value) {
+  return ParseFloat(text, value) && std::isfinite(*value);
+}
+
 }  // namespace
 
 bool SaveDatasetCsv(const SpatioTemporalDataset& dataset,
@@ -142,7 +148,7 @@ std::optional<SpatioTemporalDataset> LoadDatasetCsv(
       if (cells.size() != dataset.coords.size()) return std::nullopt;
       std::vector<float> row(cells.size());
       for (size_t c = 0; c < cells.size(); ++c) {
-        if (!ParseFloat(cells[c], &row[c])) return std::nullopt;
+        if (!ParseFiniteFloat(cells[c], &row[c])) return std::nullopt;
       }
       rows.push_back(std::move(row));
     }

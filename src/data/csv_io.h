@@ -25,7 +25,8 @@ bool SaveDatasetCsv(const SpatioTemporalDataset& dataset,
                     const std::string& directory);
 
 // Reads a dataset back. Returns nullopt on missing/malformed files
-// (dimension mismatches between sensors.csv and series.csv included).
+// (dimension mismatches between sensors.csv and series.csv included), and
+// on a NaN or infinite coordinate or series value.
 std::optional<SpatioTemporalDataset> LoadDatasetCsv(
     const std::string& directory);
 

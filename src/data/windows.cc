@@ -30,7 +30,8 @@ std::vector<int> CapWindowStarts(std::vector<int> starts, int cap) {
 
 WindowBatch MakeWindowBatch(const SeriesMatrix& series,
                             const std::vector<int>& starts,
-                            const WindowSpec& spec, int steps_per_day) {
+                            const WindowSpec& spec, int steps_per_day,
+                            int first_step) {
   STSM_CHECK(!starts.empty());
   const int batch = static_cast<int>(starts.size());
   const int nodes = series.num_nodes;
@@ -48,16 +49,17 @@ WindowBatch MakeWindowBatch(const SeriesMatrix& series,
   float* time_feat = result.input_time.data();
   for (int b = 0; b < batch; ++b) {
     const int start = starts[b];
-    STSM_CHECK_GE(start, 0);
-    STSM_CHECK_LE(start + t_in + t_out, series.num_steps);
+    const int first_row = start - first_step;
+    STSM_CHECK_GE(first_row, 0);
+    STSM_CHECK_LE(first_row + t_in + t_out, series.num_steps);
     for (int t = 0; t < t_in; ++t) {
       const float* row =
-          series.values.data() + static_cast<size_t>(start + t) * nodes;
+          series.values.data() + static_cast<size_t>(first_row + t) * nodes;
       std::copy(row, row + nodes, in + ((b * t_in + t) * nodes));
     }
     for (int t = 0; t < t_out; ++t) {
       const float* row = series.values.data() +
-                         static_cast<size_t>(start + t_in + t) * nodes;
+                         static_cast<size_t>(first_row + t_in + t) * nodes;
       std::copy(row, row + nodes, out + ((b * t_out + t) * nodes));
     }
     const Tensor tod = TimeOfDayFeatures(

@@ -36,9 +36,13 @@ struct WindowBatch {
 
 // Materialises the windows starting at `starts`. All nodes are included;
 // callers select observed/unobserved columns downstream via IndexSelect.
+// Row 0 of `series` is the absolute step `first_step` (a period sliced out
+// of a longer series); `starts` are absolute, and the time-of-day features
+// read them.
 WindowBatch MakeWindowBatch(const SeriesMatrix& series,
                             const std::vector<int>& starts,
-                            const WindowSpec& spec, int steps_per_day);
+                            const WindowSpec& spec, int steps_per_day,
+                            int first_step = 0);
 
 // Samples `count` window starts uniformly (without replacement when
 // possible) from the valid range.

@@ -13,7 +13,6 @@
 #include "nn/serialize.h"
 #include "tensor/autograd.h"
 #include "tensor/ops.h"
-#include "timeseries/pseudo_observations.h"
 
 namespace stsm {
 namespace serve {
@@ -78,11 +77,7 @@ struct GraphKey {
   std::vector<int> unobserved;  // split.test
   DistanceMode distance_mode = DistanceMode::kEuclidean;
   uint64_t road_seed = 0;  // config.seed in the road modes, else 0.
-  double epsilon_s = 0.0;
-  bool binary_spatial_kernel = false;
-  bool sparse_adjacency = false;
-  int pseudo_neighbors = 0;
-  TemporalAdjacencyOptions dtw;  // q_kk, q_ku, dtw_band, steps_per_day.
+  TestGraphOptions graph;  // What the build reads of the config.
 
   bool operator==(const GraphKey&) const = default;
 };
@@ -104,42 +99,28 @@ GraphKey MakeGraphKey(const SpatioTemporalDataset& dataset,
   if (config.distance_mode != DistanceMode::kEuclidean) {
     key.road_seed = config.seed;
   }
-  key.epsilon_s = config.epsilon_s;
-  key.binary_spatial_kernel = config.binary_spatial_kernel;
-  key.sparse_adjacency = config.sparse_adjacency;
-  key.pseudo_neighbors = config.pseudo_neighbors;
-  key.dtw = TemporalOptions(config, dataset.steps_per_day);
+  key.graph = TestGraphOptionsFor(config, dataset.steps_per_day);
   return key;
 }
 
-// The normaliser and the full-graph adjacency pair for `key`, from the
-// ExperimentContext training used (see BuildModelSpec in registry.h).
+// The normaliser and the test-time adjacency pair for `key`, from the
+// ExperimentContext training used: the graph StsmRunner::Evaluate
+// forecasts over (see BuildModelSpec in registry.h).
 std::shared_ptr<const ServingGraph> BuildServingGraph(
     const SpatioTemporalDataset& dataset, const GraphKey& key) {
   STSM_PROF_COUNT("serve.graph_builds", 1);
   SpaceSplit split;
   split.train = key.observed;
   split.test = key.unobserved;
-  ExperimentContext context(dataset, split, key.distance_mode, key.road_seed);
+  const ExperimentContext context(dataset, split, key.distance_mode,
+                                  key.road_seed);
+  TestTimeGraph test_graph = BuildTestTimeGraph(context, key.graph);
 
   auto graph = std::make_shared<ServingGraph>();
   graph->num_nodes = context.num_nodes();
   graph->normalizer = context.normalizer;
-  graph->adj_spatial = NormalizeSpatial(
-      context.SpatialKernel(key.epsilon_s, key.binary_spatial_kernel),
-      key.sparse_adjacency);
-
-  // Temporal adjacency over the full graph: unobserved columns are filled
-  // with pseudo-observations first (they have no real history), as on the
-  // offline test path. It reads the whole series, not only the test period
-  // (DESIGN.md, "Model registry and precomputed state").
-  SeriesMatrix filled = std::move(context.normalized_full);
-  FillPseudoObservations(&filled, context.pseudo_distances(),
-                         context.unobserved, context.observed,
-                         key.pseudo_neighbors);
-  graph->adj_temporal = TemporalAdjacency(
-      filled, context.observed, context.unobserved, key.dtw,
-      key.sparse_adjacency);
+  graph->adj_spatial = std::move(test_graph.spatial);
+  graph->adj_temporal = std::move(test_graph.temporal);
   return graph;
 }
 

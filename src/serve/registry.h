@@ -4,9 +4,9 @@
 // needs: the architecture config, the z-score normaliser fitted at training
 // time, and the pre-normalised full-graph adjacency matrices (spatial
 // Gaussian kernel + DTW temporal similarity). BuildModelSpec recomputes
-// these from the dataset/split through the same ExperimentContext as
-// StsmRunner, so a served model sees the offline normaliser and spatial
-// graph; its DTW graph reads the whole series (see BuildModelSpec).
+// these from the dataset/split through the same ExperimentContext and the
+// same BuildTestTimeGraph as StsmRunner::Evaluate, so a served model
+// forecasts over the graph the offline evaluation forecasts over.
 //
 // The normaliser and the adjacency pair form one immutable ServingGraph,
 // built once per graph key (the dataset's content, the split and the graph
@@ -56,7 +56,8 @@ struct ModelSpec {
   int steps_per_day = 288;
   Normalizer normalizer;
   // [N, N] symmetric-normalised Eq. 2 kernel / row-normalised DTW
-  // similarity. CSR when config.sparse_adjacency (city-scale graphs),
+  // similarity over the test period: the adjacencies StsmRunner::Evaluate
+  // forecasts over. CSR when config.sparse_adjacency (city-scale graphs),
   // dense tensors otherwise.
   Adjacency adj_spatial;
   Adjacency adj_temporal;
@@ -70,19 +71,20 @@ struct ModelSpec {
 
 // Recomputes the serving-time state for a model trained on
 // (dataset, split, config) from the ExperimentContext training used: the
-// normaliser fitted on the observed training columns, the spatial
-// adjacency over the full graph under config.distance_mode, and the
-// temporal adjacency built from the pseudo-observation-filled series, as
-// StsmRunner::Evaluate builds it but over the whole series rather than the
-// test period (DESIGN.md, "Model registry and precomputed state").
+// normaliser fitted on the observed training columns, and the spatial and
+// temporal adjacencies of BuildTestTimeGraph, the graph
+// StsmRunner::Evaluate forecasts over: Eq. 2 over the full graph under
+// config.distance_mode, and A_dtw over the pseudo-observation-filled test
+// period (DESIGN.md, "Model registry and precomputed state").
 //
 // The three are taken from the live ServingGraph of the same graph key when
 // another spec holds one, and built otherwise. The key covers the series
 // values and coordinates (by content hash and shape), the observed and
-// unobserved ids, distance_mode (and seed in the road modes), epsilon_s,
-// binary_spatial_kernel, sparse_adjacency, pseudo_neighbors, q_kk, q_ku,
-// dtw_band and steps_per_day; the temporal module, the model size and the
-// training settings do not enter it. Thread-safe.
+// unobserved ids, distance_mode (and seed in the road modes) and the
+// TestGraphOptions (epsilon_s, binary_spatial_kernel, sparse_adjacency,
+// pseudo_neighbors, q_kk, q_ku, dtw_band and steps_per_day); the temporal
+// module, the model size and the training settings do not enter it.
+// Thread-safe.
 ModelSpec BuildModelSpec(const std::string& name,
                          const SpatioTemporalDataset& dataset,
                          const SpaceSplit& split, const StsmConfig& config,

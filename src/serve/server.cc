@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -102,6 +103,15 @@ void ForecastServer::SubmitAsync(ForecastRequest request,
       done(ErrorResponse("region id out of range"));
       return;
     }
+  }
+  // Refused before the cache lookup (DESIGN.md, "Non-finite values"): a NaN
+  // in the receptive field would come back as a kOk forecast holding NaN,
+  // and the cache would keep that answer.
+  if (!std::all_of(request.window.begin(), request.window.end(),
+                   [](float value) { return std::isfinite(value); })) {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    done(ErrorResponse("non-finite window value"));
+    return;
   }
 
   if (request.deadline == Clock::time_point::max() &&

@@ -1,6 +1,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "data/metadata.h"
 #include "data/metrics.h"
@@ -429,6 +431,32 @@ TEST(WindowsTest, BatchContents) {
   EXPECT_FLOAT_EQ(batch.targets.at({0, 1, 1, 0}), 50.0f);
   // Second window: input steps 4..6.
   EXPECT_FLOAT_EQ(batch.inputs.at({1, 0, 0, 0}), 4.0f);
+}
+
+TEST(WindowsTest, SlicedSeriesKeepsAbsoluteStarts) {
+  // Windows cut from a period sliced out at step 7 equal those cut from the
+  // whole series at the same absolute starts, time-of-day features included
+  // (7 is not a multiple of the 5 steps per day).
+  SeriesMatrix series(20, 2);
+  for (int t = 0; t < 20; ++t) {
+    series.set(t, 0, static_cast<float>(t));
+    series.set(t, 1, static_cast<float>(-t));
+  }
+  const WindowSpec spec{3, 2};
+  const std::vector<int> starts = {7, 9, 15};
+  const WindowBatch whole = MakeWindowBatch(series, starts, spec, 5);
+  const WindowBatch sliced = MakeWindowBatch(series.TimeSlice(7, 20), starts,
+                                             spec, 5, /*first_step=*/7);
+  for (const auto& [a, b] : {std::pair{&whole.inputs, &sliced.inputs},
+                             std::pair{&whole.targets, &sliced.targets},
+                             std::pair{&whole.input_time, &sliced.input_time}}) {
+    ASSERT_EQ(a->shape(), b->shape());
+    for (int64_t i = 0; i < a->numel(); ++i) {
+      EXPECT_EQ(a->data()[i], b->data()[i]) << "element " << i;
+    }
+  }
+  EXPECT_FLOAT_EQ(sliced.inputs.at({0, 0, 0, 0}), 7.0f);
+  EXPECT_EQ(sliced.starts, starts);
 }
 
 TEST(WindowsTest, SampledStartsAreValid) {

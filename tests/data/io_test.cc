@@ -111,19 +111,37 @@ TEST_F(CsvIoTest, NonFiniteCoordinatesRejected) {
           << bad << " in column " << column;
     }
   }
-  // Series values may stay non-finite (DTW handles NaN).
+}
+
+TEST_F(CsvIoTest, NonFiniteSeriesValuesRejected) {
+  // One NaN reading turns every training loss and the test RMSE into NaN
+  // without an error, so the loader refuses non-finite series values (and
+  // values past the float range, which parse to infinity).
+  ASSERT_TRUE(SaveDatasetCsv(TinyDataset(), directory_));
+  std::vector<std::string> lines;
   {
-    std::ofstream out(directory_ + "/sensors.csv", std::ios::trunc);
-    for (const std::string& line : lines) out << line << "\n";
+    std::ifstream in(directory_ + "/series.csv");
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
   }
-  std::ofstream series(directory_ + "/series.csv", std::ios::app);
-  series << "nan";
-  for (int c = 1; c < TinyDataset().num_nodes(); ++c) series << ",inf";
-  series << "\n";
-  series.close();
-  const auto loaded = LoadDatasetCsv(directory_);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(std::isnan(loaded->series.at(loaded->num_steps() - 1, 0)));
+  ASSERT_GE(lines.size(), 3u);
+  ASSERT_TRUE(LoadDatasetCsv(directory_).has_value());
+  for (const std::string bad : {"nan", "inf", "-inf", "1e39"}) {
+    for (const int column : {0, 5}) {
+      std::vector<std::string> edited = lines;
+      std::string& row = edited[2];
+      size_t begin = 0;
+      for (int c = 0; c < column; ++c) begin = row.find(',', begin) + 1;
+      const size_t end = row.find(',', begin);
+      row = row.substr(0, begin) + bad +
+            (end == std::string::npos ? "" : row.substr(end));
+      {
+        std::ofstream out(directory_ + "/series.csv", std::ios::trunc);
+        for (const std::string& line : edited) out << line << "\n";
+      }
+      EXPECT_FALSE(LoadDatasetCsv(directory_).has_value())
+          << bad << " in column " << column;
+    }
+  }
 }
 
 TEST(SvgMapTest, SensorMapContainsAllDots) {

@@ -65,7 +65,9 @@ NetFixture& Fixture() {
     sim.name = "net-tiny";
     sim.kind = RegionKind::kHighway;
     sim.num_sensors = 16;
-    sim.num_days = 2;
+    // The test-time DTW graph reads the test period's (30%) daily
+    // profiles, so the period must span a day: four days of 48 steps.
+    sim.num_days = 4;
     sim.steps_per_day = 48;
     sim.area_km = 12.0;
     sim.seed = 7;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,8 +17,11 @@
 #include "common/rng.h"
 #include "core/experiment_context.h"
 #include "core/st_model.h"
+#include "core/stsm.h"
+#include "data/metrics.h"
 #include "data/simulator.h"
 #include "data/splits.h"
+#include "data/windows.h"
 #include "graph/adjacency.h"
 #include "graph/geo.h"
 #include "graph/road.h"
@@ -182,8 +186,9 @@ void ExpectSameGraph(const GraphBytes& actual, const GraphBytes& expected) {
   EXPECT_TRUE(actual.temporal == expected.temporal) << "temporal adjacency";
 }
 
-// The serving graph composed straight from the ExperimentContext, the way
-// BuildModelSpec built it for every spec before specs shared graphs.
+// The serving graph composed straight from the ExperimentContext: Eq. 2
+// over the full graph, and A_dtw over the test period with the unobserved
+// columns pseudo-filled, the graph StsmRunner::Evaluate forecasts over.
 GraphBytes ReferenceGraph(const SpatioTemporalDataset& dataset,
                           const SpaceSplit& split, const StsmConfig& config) {
   ExperimentContext context(dataset, split, config.distance_mode,
@@ -191,7 +196,8 @@ GraphBytes ReferenceGraph(const SpatioTemporalDataset& dataset,
   Adjacency spatial = NormalizeSpatial(
       context.SpatialKernel(config.epsilon_s, config.binary_spatial_kernel),
       config.sparse_adjacency);
-  SeriesMatrix filled = context.normalized_full;
+  SeriesMatrix filled = context.normalized_full.TimeSlice(
+      context.time_split.train_steps, context.time_split.total_steps);
   FillPseudoObservations(&filled, context.pseudo_distances(),
                          context.unobserved, context.observed,
                          config.pseudo_neighbors);
@@ -250,7 +256,9 @@ GraphCase MakeGraphCase() {
   sim.name = "graph-tiny";
   sim.kind = RegionKind::kHighway;
   sim.num_sensors = 20;
-  sim.num_days = 3;
+  // The test-time DTW graph reads the test period's (30%) daily
+  // profiles, so the period must span a day: four days of 48 steps.
+  sim.num_days = 4;
   sim.steps_per_day = 48;
   sim.area_km = 16.0;
   sim.seed = 12;
@@ -487,7 +495,9 @@ ServeFixture& Fixture() {
     sim.name = "serve-tiny";
     sim.kind = RegionKind::kHighway;
     sim.num_sensors = 24;
-    sim.num_days = 3;
+    // The test-time DTW graph reads the test period's (30%) daily
+    // profiles, so the period must span a day: four days of 48 steps.
+    sim.num_days = 4;
     sim.steps_per_day = 48;
     sim.area_km = 16.0;
     sim.seed = 11;
@@ -573,6 +583,7 @@ TEST(ModelSpecTest, RoadModeServesTheTrainedGraph) {
   ServeFixture& f = Fixture();
   const int n = f.dataset.num_nodes();
   const std::vector<int> observed = f.split.Observed();
+  const TimeSplit time_split = SplitTime(f.dataset.num_steps());
   for (const DistanceMode mode :
        {DistanceMode::kRoadAll, DistanceMode::kRoadMatrixOnly}) {
     SCOPED_TRACE(mode == DistanceMode::kRoadAll ? "rd-a" : "rd-m");
@@ -599,7 +610,9 @@ TEST(ModelSpecTest, RoadModeServesTheTrainedGraph) {
                           sizeof(float) * n * n),
               0);
 
-    SeriesMatrix filled = f.dataset.series;
+    // A_dtw over the test period, the graph StsmRunner::Evaluate reads.
+    SeriesMatrix filled = f.dataset.series.TimeSlice(
+        time_split.train_steps, time_split.total_steps);
     f.spec.normalizer.TransformInPlace(&filled);
     FillPseudoObservations(
         &filled,
@@ -618,6 +631,99 @@ TEST(ModelSpecTest, RoadModeServesTheTrainedGraph) {
     EXPECT_EQ(std::memcmp(spec.adj_temporal.dense().data(), temporal.data(),
                           sizeof(float) * n * n),
               0);
+  }
+}
+
+TEST(ModelSpecTest, ServedForecastEqualsEvaluate) {
+  // The served forecast is the evaluated forecast: with no training, the
+  // runner's model is the checkpoint's, and Predict on Evaluate's windows
+  // must reproduce Evaluate's unobserved-region metrics bit for bit, dense
+  // and CSR, in the Euclidean mode and in a road mode.
+  ServeFixture& f = Fixture();
+  const int n = f.dataset.num_nodes();
+  const std::vector<int> observed = f.split.Observed();
+  const TimeSplit time_split = SplitTime(f.dataset.num_steps());
+  for (const bool sparse : {false, true}) {
+    for (const DistanceMode mode :
+         {DistanceMode::kEuclidean, DistanceMode::kRoadAll}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "sparse=" << sparse << " mode=" << static_cast<int>(mode));
+      StsmConfig config = f.config;
+      config.sparse_adjacency = sparse;
+      config.distance_mode = mode;
+      config.epochs = 0;
+      const std::string checkpoint = CheckpointDir().File(
+          "eval_" + std::to_string(sparse) + "_" +
+          std::to_string(static_cast<int>(mode)) + ".bin");
+      Rng init_rng(config.seed + 13);
+      ASSERT_TRUE(SaveModule(StModel(config, &init_rng), checkpoint));
+
+      StsmRunner runner(f.dataset, f.split, config);
+      const ExperimentResult evaluated = runner.Run();
+
+      const auto served = ServedModel::Load(BuildModelSpec(
+          "stsm-eval", f.dataset, f.split, config, checkpoint));
+      ASSERT_TRUE(served->healthy());
+      const Normalizer& normalizer = served->spec().normalizer;
+      // Evaluate's inputs, composed here: the normalised series with the
+      // unobserved columns pseudo-filled. The fill is per time step, so the
+      // test-period windows read what a test-period fill holds.
+      SeriesMatrix filled = f.dataset.series;
+      normalizer.TransformInPlace(&filled);
+      std::vector<double> pseudo_distances =
+          PairwiseDistances(f.dataset.coords);
+      if (mode == DistanceMode::kRoadAll) {
+        Rng road_rng(config.seed + 7);
+        pseudo_distances = RoadNetworkDistances(
+            f.dataset.coords, /*k_nearest=*/3, /*detour_factor=*/1.3,
+            /*detour_jitter=*/0.1, &road_rng);
+      }
+      FillPseudoObservations(&filled, pseudo_distances, f.split.test,
+                             observed, config.pseudo_neighbors);
+
+      const WindowSpec window{config.input_length, config.horizon};
+      const std::vector<int> starts = CapWindowStarts(
+          ValidWindowStarts(time_split.train_steps, time_split.total_steps,
+                            window, config.eval_stride),
+          config.max_eval_windows);
+      ASSERT_FALSE(starts.empty());
+      MetricsAccumulator accumulator;
+      std::vector<MetricsAccumulator> per_horizon(config.horizon);
+      for (size_t begin = 0; begin < starts.size();
+           begin += config.batch_size) {
+        const std::vector<int> chunk(
+            starts.begin() + begin,
+            starts.begin() + std::min(starts.size(),
+                                      begin + config.batch_size));
+        const WindowBatch batch =
+            MakeWindowBatch(filled, chunk, window, f.dataset.steps_per_day);
+        const Tensor predictions =
+            served->Predict(batch.inputs, batch.input_time);
+        for (size_t b = 0; b < chunk.size(); ++b) {
+          for (int t = 0; t < config.horizon; ++t) {
+            const int step = chunk[b] + config.input_length + t;
+            for (int node : f.split.test) {
+              const float predicted = normalizer.Inverse(predictions.data()[
+                  (static_cast<size_t>(b) * config.horizon + t) * n + node]);
+              accumulator.Add(predicted, f.dataset.series.at(step, node));
+              per_horizon[t].Add(predicted, f.dataset.series.at(step, node));
+            }
+          }
+        }
+      }
+      const Metrics metrics = accumulator.Compute();
+      EXPECT_EQ(metrics.rmse, evaluated.metrics.rmse);
+      EXPECT_EQ(metrics.mae, evaluated.metrics.mae);
+      EXPECT_EQ(metrics.mape, evaluated.metrics.mape);
+      EXPECT_EQ(metrics.r2, evaluated.metrics.r2);
+      EXPECT_EQ(metrics.count, evaluated.metrics.count);
+      ASSERT_EQ(evaluated.horizon_rmse.size(),
+                static_cast<size_t>(config.horizon));
+      for (int t = 0; t < config.horizon; ++t) {
+        EXPECT_EQ(per_horizon[t].Compute().rmse, evaluated.horizon_rmse[t])
+            << "horizon step " << t;
+      }
+    }
   }
 }
 
@@ -725,6 +831,36 @@ TEST(ForecastServerTest, UnknownModelAndBadShapesError) {
   EXPECT_EQ(server.SubmitAndWait(std::move(no_regions)).status,
             Status::kError);
   EXPECT_EQ(server.stats().errors, 4u);
+}
+
+TEST(ForecastServerTest, NonFiniteWindowIsAnErrorAndNeverCached) {
+  // A NaN or infinity in the last input step (inside the receptive field)
+  // or in step 0 (outside it) is refused before the cache lookup: twice the
+  // same request, twice kError, and no model answer to cache.
+  ServeFixture& f = Fixture();
+  const int n = f.dataset.num_nodes();
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    for (const int step : {f.config.input_length - 1, 0}) {
+      SCOPED_TRACE(::testing::Message() << bad << " at step " << step);
+      ForecastServer server(&f.registry, ServerConfig{});
+      ForecastRequest request = MakeRequest(f, 4);
+      request.window[static_cast<size_t>(step) * n + f.split.test[0]] = bad;
+      for (int attempt = 0; attempt < 2; ++attempt) {
+        const ForecastResponse response = server.SubmitAndWait(request);
+        EXPECT_EQ(response.status, Status::kError);
+        EXPECT_EQ(response.message, "non-finite window value");
+        EXPECT_FALSE(response.cache_hit);
+      }
+      const ServerStats stats = server.stats();
+      EXPECT_EQ(stats.errors, 2u);
+      EXPECT_EQ(stats.ok, 0u);
+      EXPECT_EQ(stats.batches, 0u);
+      EXPECT_EQ(stats.cache.hits, 0u);
+      EXPECT_EQ(stats.cache.misses, 0u);  // Never looked up.
+    }
+  }
 }
 
 TEST(ForecastServerTest, ExpiredDeadlineDegradesToHistoricalAverage) {
