@@ -2,7 +2,7 @@
 """Checks that the committed result artefacts are what the code writes.
 
 Usage: check_artifacts.py [--build-dir DIR] [--jobs N] [--update]
-                          [--keep DIR] [BENCH ...]
+                          [BENCH ...]
 
 Runs every deterministic result bench (the paper tables and figures) at
 the default fast scale, each in its own temporary directory, and
@@ -15,9 +15,8 @@ been written by one of them, so a file no bench produces any more fails
 too.
 
 Naming benches (e.g. `table9_ring`) runs only those. --update copies the
-written files over the committed ones instead of failing on a difference;
---keep writes the outputs under DIR/<bench> and leaves them there. The
-benches read STSM_NUM_THREADS from the environment; their results do not
+written files over the committed ones instead of failing on a difference
+(`git diff` then shows what moved). The benches read STSM_NUM_THREADS from the environment; their results do not
 depend on it. The committed files come from a gcc Release build with the
 SIMD kernels on (the CI leg that runs this check).
 
@@ -88,8 +87,6 @@ def main():
                         help="benches run at once (default 1)")
     parser.add_argument("--update", action="store_true",
                         help="copy written files over the committed ones")
-    parser.add_argument("--keep", metavar="DIR",
-                        help="write the outputs under DIR and keep them")
     args = parser.parse_args()
 
     unknown = sorted(set(args.benches) - set(BENCHES))
@@ -103,15 +100,10 @@ def main():
         print(f"FAIL: bench binaries not built: {missing}", file=sys.stderr)
         return 1
 
-    scratch = None
-    if args.keep:
-        out_root = pathlib.Path(args.keep).resolve()
-    else:
-        scratch = tempfile.TemporaryDirectory(prefix="stsm_artifacts_")
-        out_root = pathlib.Path(scratch.name)
-    out_dirs = {name: out_root / name for name in benches}
+    scratch = tempfile.TemporaryDirectory(prefix="stsm_artifacts_")
+    out_dirs = {name: pathlib.Path(scratch.name) / name for name in benches}
     for out_dir in out_dirs.values():
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir()
 
     failures = []
     with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
@@ -145,8 +137,7 @@ def main():
         for name in sorted(committed - produced):
             failures.append(f"{name} is committed but no bench wrote it")
 
-    if scratch is not None:
-        scratch.cleanup()
+    scratch.cleanup()
     if failures:
         print("FAIL:", file=sys.stderr)
         for failure in failures:
