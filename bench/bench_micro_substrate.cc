@@ -133,6 +133,30 @@ void BM_PackedGemm(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedGemm)->Arg(64)->Arg(128)->Arg(256);
 
+// Every Linear of the city transformer: [B·N·T, 16] @ [16, 16] with
+// B·N·T = 3072, run as MatMul runs it, one PackedGemm per 64-row block. At
+// k = 16 packing and the C write-back cost as much as the FMAs. Report only.
+void BM_PackedGemmLinear(benchmark::State& state) {
+  const int64_t m = 3072, n = 16, k = 16;
+  Rng rng(9);
+  std::vector<float> a(static_cast<size_t>(m * k));
+  std::vector<float> b(static_cast<size_t>(k * n));
+  std::vector<float> c(static_cast<size_t>(m * n));
+  for (auto& v : a) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  for (auto& v : b) v = static_cast<float>(rng.Uniform(-1.0, 1.0));
+  for (auto _ : state) {
+    for (int64_t i0 = 0; i0 < m; i0 += kGemmRowBlock) {
+      PackedGemm(std::min(kGemmRowBlock, m - i0), n, k, a.data() + i0 * k, k,
+                 1, b.data(), n, 1, c.data() + i0 * n, n, 1,
+                 /*accumulate=*/false);
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+BENCHMARK(BM_PackedGemmLinear);
+
 void BM_NaiveGemm(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(9);
@@ -387,6 +411,28 @@ void BM_SoftmaxScalar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SoftmaxScalar);
+
+// The transformer's attention scores, [B·N, heads, T, T] = [256, 2, 12, 12]
+// at city scale: rows of 12, one vector block plus a 4-lane tail, so the
+// tail's cost is a third of the row. BM_Softmax's rows of 24 have no tail.
+void BM_SoftmaxRows12(benchmark::State& state) {
+  Rng rng(5);
+  const Tensor x = Tensor::Uniform(Shape({256, 2, 12, 12}), -1, 1, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Softmax(x, -1).data());
+  }
+}
+BENCHMARK(BM_SoftmaxRows12);
+
+void BM_SoftmaxRows12Scalar(benchmark::State& state) {
+  ScalarDispatchScope scalar_only;
+  Rng rng(5);
+  const Tensor x = Tensor::Uniform(Shape({256, 2, 12, 12}), -1, 1, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Softmax(x, -1).data());
+  }
+}
+BENCHMARK(BM_SoftmaxRows12Scalar);
 
 void BM_AddContiguous(benchmark::State& state) {
   // Contiguous elementwise binary op: the canonical vectorized fast path.

@@ -17,7 +17,7 @@ ExperimentContext::ExperimentContext(const SpatioTemporalDataset& dataset,
     : distance_mode(distance_mode),
       observed(split.Observed()),
       unobserved(split.test),
-      time_split(SplitTime(dataset.num_steps(), 0.7)),
+      time_split(SplitTime(dataset.num_steps(), kTrainTimeFraction)),
       normalized_full(dataset.series),
       dist_euclid(PairwiseDistances(dataset.coords)) {
   STSM_CHECK(!observed.empty());

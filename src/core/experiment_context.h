@@ -28,6 +28,10 @@
 
 namespace stsm {
 
+// Share of the time steps in the training period; the rest is the test
+// period (ExperimentContext::time_split).
+inline constexpr double kTrainTimeFraction = 0.7;
+
 struct ExperimentContext {
   // Road modes build the road distances from the stream Rng(seed + 7).
   ExperimentContext(const SpatioTemporalDataset& dataset,

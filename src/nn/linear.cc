@@ -25,23 +25,21 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng* rng,
 Tensor Linear::Forward(const Tensor& x) const {
   STSM_PROF_SCOPE("linear.fwd");
   STSM_CHECK_EQ(x.shape()[-1], in_features_);
+  // The bias joins the GEMM's output pass (MatMul with a bias operand), not
+  // a second elementwise op. A bf16 weight (serving) feeds the mixed-dtype
+  // GEMM directly, and MatMul widens a bf16 bias.
   if (!x.is_contiguous() && x.ndim() >= 2) {
     // Strided input (a transpose/slice view): batched matmul reads it
     // through its strides directly — the GEMM packing absorbs the layout —
     // so skip the flatten, which would force a Contiguous copy. Per output
     // element the flop order matches the flattened path exactly.
-    // A bf16 weight (serving) feeds the mixed-dtype GEMM directly; the bias
-    // is widened at the point of use (identity handle for fp32).
-    Tensor y = MatMul(x, weight_);
-    if (bias_.defined()) y = Add(y, WidenToF32(bias_));
-    return y;
+    return MatMul(x, weight_, bias_);
   }
   // Contiguous input: flatten all leading dims into the matmul row
   // dimension (zero-copy) so the whole batch runs as one large GEMM.
   const Shape original = x.shape();
   std::vector<int64_t> flat_dims = {x.numel() / in_features_, in_features_};
-  Tensor y = MatMul(Reshape(x, Shape(flat_dims)), weight_);
-  if (bias_.defined()) y = Add(y, WidenToF32(bias_));
+  const Tensor y = MatMul(Reshape(x, Shape(flat_dims)), weight_, bias_);
   std::vector<int64_t> out_dims = original.dims();
   out_dims.back() = out_features_;
   return Reshape(y, Shape(out_dims));

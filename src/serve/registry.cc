@@ -181,6 +181,22 @@ ModelSpec BuildModelSpec(const std::string& name,
                          const SpaceSplit& split, const StsmConfig& config,
                          const std::string& checkpoint_path) {
   STSM_PROF_SCOPE("serve.build_spec");
+  ModelSpec spec;
+  spec.name = name;
+  spec.config = config;
+  spec.num_nodes = dataset.num_nodes();
+  spec.steps_per_day = dataset.steps_per_day;
+  spec.checkpoint_path = checkpoint_path;
+  // A_dtw reads daily profiles of the test period, which must therefore
+  // span a day. A shorter one gets no graph: the spec loads unhealthy and
+  // its requests degrade, instead of the build aborting the process.
+  const TimeSplit time_split =
+      SplitTime(dataset.num_steps(), kTrainTimeFraction);
+  if (time_split.total_steps - time_split.train_steps <
+      dataset.steps_per_day) {
+    return spec;
+  }
+
   const GraphKey key = MakeGraphKey(dataset, split, config);
   GraphTable& table = GraphTable::Global();
   std::shared_ptr<const ServingGraph> graph = table.Find(key);
@@ -190,12 +206,7 @@ ModelSpec BuildModelSpec(const std::string& name,
     graph = table.Publish(key, BuildServingGraph(dataset, key));
   }
 
-  ModelSpec spec;
-  spec.name = name;
-  spec.config = config;
   spec.num_nodes = graph->num_nodes;
-  spec.steps_per_day = dataset.steps_per_day;
-  spec.checkpoint_path = checkpoint_path;
   spec.normalizer = graph->normalizer;
   spec.adj_spatial = graph->adj_spatial;
   spec.adj_temporal = graph->adj_temporal;
@@ -217,6 +228,7 @@ ServedModel::ServedModel(ModelSpec spec) : spec_(std::move(spec)) {}
 std::shared_ptr<ServedModel> ServedModel::Load(const ModelSpec& spec) {
   STSM_PROF_SCOPE("serve.model_load");
   auto served = std::shared_ptr<ServedModel>(new ServedModel(spec));
+  if (spec.graph == nullptr) return served;  // No test-time graph to serve.
   Rng init_rng(spec.config.seed + 13);  // Same init stream as training.
   auto model = std::make_unique<StModel>(spec.config, &init_rng);
   if (LoadModule(model.get(), spec.checkpoint_path)) {

@@ -84,7 +84,11 @@ struct ModelSpec {
 // TestGraphOptions (epsilon_s, binary_spatial_kernel, sparse_adjacency,
 // pseudo_neighbors, q_kk, q_ku, dtw_band and steps_per_day); the temporal
 // module, the model size and the training settings do not enter it.
-// Thread-safe.
+//
+// A_dtw reads the test period's daily profiles, so a test period (the last
+// 30% of the steps) shorter than one day builds no graph: the spec comes
+// back without adjacencies and with `graph` null, ServedModel::Load marks it
+// unhealthy, and the server degrades its requests. Thread-safe.
 ModelSpec BuildModelSpec(const std::string& name,
                          const SpatioTemporalDataset& dataset,
                          const SpaceSplit& split, const StsmConfig& config,
@@ -93,9 +97,10 @@ ModelSpec BuildModelSpec(const std::string& name,
 class ServedModel {
  public:
   // Constructs the network, loads weights from spec.checkpoint_path, and
-  // switches it to eval mode. On checkpoint failure the model is marked
-  // unhealthy (healthy() == false) rather than rejected — the server then
-  // degrades its requests gracefully.
+  // switches it to eval mode. On checkpoint failure, or for a spec with no
+  // graph (a test period shorter than a day; see BuildModelSpec), the model
+  // is marked unhealthy (healthy() == false) rather than rejected — the
+  // server then degrades its requests gracefully.
   static std::shared_ptr<ServedModel> Load(const ModelSpec& spec);
 
   const ModelSpec& spec() const { return spec_; }

@@ -39,6 +39,29 @@ void MicroKernel(int64_t kb, const float* a_panel, const float* b_panel,
   }
 }
 
+// One tile row of acc into a row-major C row (C (+)= acc over w columns).
+// The full-tile widths get constant trip counts, so the compiler emits a
+// few vector moves instead of a library memcpy call per row.
+template <int64_t W>
+inline void StoreTileRow(const float* src, float* dst, bool overwrite) {
+  if (overwrite) {
+    for (int64_t j = 0; j < W; ++j) dst[j] = src[j];
+  } else {
+    for (int64_t j = 0; j < W; ++j) dst[j] += src[j];
+  }
+}
+
+inline void StoreTileRow(const float* src, float* dst, int64_t w,
+                         bool overwrite) {
+  if (w == kGemmMaxNr) return StoreTileRow<kGemmMaxNr>(src, dst, overwrite);
+  if (w == kGemmNr) return StoreTileRow<kGemmNr>(src, dst, overwrite);
+  if (overwrite) {
+    for (int64_t j = 0; j < w; ++j) dst[j] = src[j];
+  } else {
+    for (int64_t j = 0; j < w; ++j) dst[j] += src[j];
+  }
+}
+
 // Widening element loads for the packing loops: fp32 panels are copied
 // verbatim, bf16 bit patterns are widened exactly (<< 16). Everything past
 // the pack — microkernel, accumulator, C stores — is fp32 either way.
@@ -115,28 +138,49 @@ void PackedGemmImpl(int64_t m, int64_t n, int64_t k,        //
         const int64_t iw = std::min(mr, m - i0);
         float* a_pack = tl_a_pack.data() + (a_slots == 1 ? 0 : i0 * kb);
         if (s == 0) {
-          // Pack the A row panel k-major (zero-padded past row m).
-          for (int64_t kk = 0; kk < kb; ++kk) {
-            const AT* src = a + i0 * rs_a + (kc + kk) * cs_a;
-            float* dst = a_pack + kk * mr;
-            for (int64_t i = 0; i < iw; ++i) dst[i] = WidenLoad(src[i * rs_a]);
-            for (int64_t i = iw; i < mr; ++i) dst[i] = 0.0f;
+          // Pack the A row panel k-major (zero-padded past row m). A
+          // row-major A (cs_a == 1) is read one unit-stride row at a time;
+          // either order writes the same panel.
+          if (cs_a == 1) {
+            for (int64_t i = 0; i < iw; ++i) {
+              const AT* src = a + (i0 + i) * rs_a + kc;
+              for (int64_t kk = 0; kk < kb; ++kk) {
+                a_pack[kk * mr + i] = WidenLoad(src[kk]);
+              }
+            }
+            for (int64_t kk = 0; kk < kb; ++kk) {
+              for (int64_t i = iw; i < mr; ++i) a_pack[kk * mr + i] = 0.0f;
+            }
+          } else {
+            for (int64_t kk = 0; kk < kb; ++kk) {
+              const AT* src = a + i0 * rs_a + (kc + kk) * cs_a;
+              float* dst = a_pack + kk * mr;
+              for (int64_t i = 0; i < iw; ++i) {
+                dst[i] = WidenLoad(src[i * rs_a]);
+              }
+              for (int64_t i = iw; i < mr; ++i) dst[i] = 0.0f;
+            }
           }
         }
 
         for (int64_t jp = 0; jp < n_panels; ++jp) {
           const int64_t j0 = jp * nr;
           const int64_t jw = std::min(nr, n - j0);
-          alignas(32) float acc[kGemmMaxMr * kGemmMaxNr] = {};
+          // The SIMD microkernel stores its whole tile; the scalar one
+          // accumulates into it, so only that one needs it zeroed.
+          alignas(32) float acc[kGemmMaxMr * kGemmMaxNr];
           if (vk != nullptr) {
             vk->gemm_micro(kb, a_pack, b_pack + jp * kb * nr, acc);
           } else {
+            std::fill_n(acc, mr * nr, 0.0f);
             MicroKernel(kb, a_pack, b_pack + jp * kb * nr, acc);
           }
           for (int64_t i = 0; i < iw; ++i) {
             float* dst = c + (i0 + i) * rs_c + j0 * cs_c;
             const float* src = acc + i * nr;
-            if (overwrite) {
+            if (cs_c == 1) {
+              StoreTileRow(src, dst, jw, overwrite);
+            } else if (overwrite) {
               for (int64_t j = 0; j < jw; ++j) dst[j * cs_c] = src[j];
             } else {
               for (int64_t j = 0; j < jw; ++j) dst[j * cs_c] += src[j];

@@ -589,12 +589,39 @@ Tensor Pow(const Tensor& x, float exponent) {
 
 namespace {
 
+// A strided view as runs of `run` logically consecutive elements that are
+// also adjacent in memory: the longest trailing block of dimensions laid out
+// row-major (size-1 dimensions never step, so any stride fits them). Run o
+// holds logical elements [o * run, (o + 1) * run) and starts at physical
+// offset (*starts)[o]. A run of 1 is the per-element index table.
+struct RunTable {
+  int64_t run = 1;
+  IndexTable starts;
+};
+
+RunTable BuildRunTable(const TensorImpl& impl) {
+  const std::vector<int64_t>& dims = impl.shape.dims();
+  RunTable t;
+  int d = impl.shape.ndim();
+  for (; d > 0; --d) {
+    if (dims[d - 1] == 1) continue;
+    if (impl.strides[d - 1] != t.run) break;
+    t.run *= dims[d - 1];
+  }
+  auto starts = std::make_shared<std::vector<int64_t>>();
+  FillOffsets(dims, impl.strides, 0, d, starts.get());
+  t.starts = std::move(starts);
+  return t;
+}
+
 // Gradient for Contiguous(): scatter-adds the compacted gradient back to the
-// strided positions of the input (through the shared fwd/bwd index table).
+// strided positions of the input, run by run in ascending logical order, so
+// elements that share a position (stride-0 dimensions) accumulate in the
+// same order as a per-element scatter.
 class ContiguousNode : public Node {
  public:
-  ContiguousNode(ImplPtr x, IndexTable table)
-      : Node({std::move(x)}), table_(std::move(table)) {}
+  ContiguousNode(ImplPtr x, RunTable runs)
+      : Node({std::move(x)}), runs_(std::move(runs)) {}
 
   const char* name() const override { return "contiguous"; }
 
@@ -604,16 +631,21 @@ class ContiguousNode : public Node {
     if (!xi->requires_grad) return;
     STSM_PROF_SCOPE("contiguous.bwd");
     xi->EnsureGrad();
-    const int64_t n = output->shape.numel();
+    const int64_t run = runs_.run;
+    const std::vector<int64_t>& starts = *runs_.starts;
     const float* gout = output->grad();
     float* gx = xi->grad();
-    for (int64_t i = 0; i < n; ++i) gx[(*table_)[i]] += gout[i];
+    for (size_t o = 0; o < starts.size(); ++o) {
+      float* dst = gx + starts[o];
+      const float* src = gout + static_cast<int64_t>(o) * run;
+      for (int64_t j = 0; j < run; ++j) dst[j] += src[j];
+    }
   }
 
-  void ReleaseSaved() override { table_.reset(); }
+  void ReleaseSaved() override { runs_.starts.reset(); }
 
  private:
-  IndexTable table_;
+  RunTable runs_;
 };
 
 }  // namespace
@@ -623,16 +655,21 @@ Tensor Contiguous(const Tensor& x) {
   // Already compact: same handle, no allocation, no graph node.
   if (x.impl()->is_contiguous()) return x;
   STSM_PROF_SCOPE("contiguous.fwd");
-  IndexTable table = BuildPhysTable(*x.impl());
+  RunTable runs = BuildRunTable(*x.impl());
   ImplPtr result = internal::MakeResult(x.shape(), {x.impl()}, /*zero=*/false);
-  const int64_t n = x.numel();
   const float* xd = x.data();
   float* out = result->data();
-  for (int64_t i = 0; i < n; ++i) out[i] = xd[(*table)[i]];
+  const std::vector<int64_t>& starts = *runs.starts;
+  const int64_t run = runs.run;
+  for (size_t o = 0; o < starts.size(); ++o) {
+    const float* src = xd + starts[o];
+    float* dst = out + static_cast<int64_t>(o) * run;
+    for (int64_t j = 0; j < run; ++j) dst[j] = src[j];
+  }
 
   if (result->requires_grad) {
     result->grad_fn =
-        std::make_shared<ContiguousNode>(x.impl(), std::move(table));
+        std::make_shared<ContiguousNode>(x.impl(), std::move(runs));
   }
   return Tensor(std::move(result));
 }
@@ -1418,10 +1455,17 @@ void MatMulGradB(const MatMulPlan& plan, const float* av, const float* gout,
       });
 }
 
+// Backward of MatMul(a, b[, bias]). The bias gradient is Add's for a
+// suffix operand: every output row added in ascending order, each term
+// g * 1.0f, on the same rows_axpy kernel under SIMD dispatch.
 class MatMulNode : public Node {
  public:
-  MatMulNode(ImplPtr a, ImplPtr b, std::shared_ptr<MatMulPlan> plan)
-      : Node({std::move(a), std::move(b)}), plan_(std::move(plan)) {}
+  MatMulNode(ImplPtr a, ImplPtr b, ImplPtr bias,
+             std::shared_ptr<MatMulPlan> plan)
+      : Node(bias ? std::vector<ImplPtr>{std::move(a), std::move(b),
+                                         std::move(bias)}
+                  : std::vector<ImplPtr>{std::move(a), std::move(b)}),
+        plan_(std::move(plan)) {}
 
   const char* name() const override { return "matmul"; }
 
@@ -1429,12 +1473,29 @@ class MatMulNode : public Node {
   void Apply(TensorImpl* output) override {
     TensorImpl* ai = inputs_[0].get();
     TensorImpl* bi = inputs_[1].get();
+    TensorImpl* biasi = inputs_.size() > 2 ? inputs_[2].get() : nullptr;
     const MatMulPlan& plan = *plan_;
     const int64_t m = plan.m, k = plan.k, n = plan.n;
     const int64_t batches = plan.batch_count;
     const float* gout = output->grad();
     const float* av = ai->data();
     const float* bv = bi->data();
+
+    if (biasi != nullptr && biasi->requires_grad) {
+      STSM_PROF_SCOPE("matmul.bwd_bias");
+      biasi->EnsureGrad();
+      float* gb = biasi->grad();
+      const int64_t rows = batches * m;
+      const simd::KernelTable* vk = simd::Active();
+      if (vk != nullptr) {
+        const float one = 1.0f;
+        vk->rows_axpy(&one, 0, 0, gout, gb, 1, rows, n);
+      } else {
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t j = 0; j < n; ++j) gb[j] += gout[r * n + j] * 1.0f;
+        }
+      }
+    }
 
     if (ai->requires_grad) {
       STSM_PROF_SCOPE("matmul.bwd_a");
@@ -1486,17 +1547,29 @@ class MatMulNode : public Node {
 }  // namespace
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
+  return MatMul(a, b, Tensor());
+}
+
+Tensor MatMul(const Tensor& a, const Tensor& b, const Tensor& bias_in) {
   STSM_PROF_SCOPE("matmul.fwd");
   STSM_CHECK(a.defined() && b.defined());
   auto plan = std::make_shared<MatMulPlan>(PlanMatMul(*a.impl(), *b.impl()));
+  // The bias pass reads the bias row linearly.
+  const Tensor bias = bias_in.defined() ? Contiguous(bias_in) : bias_in;
+  if (bias.defined()) {
+    STSM_CHECK(bias.ndim() == 1 && bias.numel() == plan->n)
+        << "MatMul bias must be [" << plan->n << "], got"
+        << bias.shape().ToString();
+  }
 
   std::vector<int64_t> out_dims = plan->batch_shape.dims();
   out_dims.push_back(plan->m);
   out_dims.push_back(plan->n);
   const Shape out_shape(out_dims);
   // PackedGemm overwrites its C block, so the output needs no zero-fill.
-  ImplPtr result =
-      internal::MakeResult(out_shape, {a.impl(), b.impl()}, /*zero=*/false);
+  ImplPtr result = internal::MakeResult(
+      out_shape, {a.impl(), b.impl(), bias.defined() ? bias.impl() : nullptr},
+      /*zero=*/false);
 
   // Operands address through dtype-generic byte pointers: fp32 everywhere
   // except the no-grad serving path, where bf16 weights/adjacencies feed the
@@ -1510,8 +1583,16 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   float* out = result->data();
   const int64_t m = plan->m, k = plan->k, n = plan->n;
 
+  // A bf16 bias (serving) widens to fp32; an fp32 one is the same handle.
+  const Tensor bias_f32 = WidenToF32(bias);
+  const float* bias_row = bias_f32.defined() ? bias_f32.data() : nullptr;
+  const simd::KernelTable* vk =
+      n >= kMinVectorRow ? simd::Active() : nullptr;
+
   // Forward: each (batch, row-block) task owns a disjoint block of C rows;
   // runs of batches that share one A matrix go through one packed GEMM.
+  // The bias is added to a block's rows right after the GEMM wrote them,
+  // each element the one rounded add that Add(product, bias) would make.
   const int64_t blocks = (m + kGemmRowBlock - 1) / kGemmRowBlock;
   ForEachSharedRun(
       plan->batch_count, blocks, plan->a_batch_offset,
@@ -1529,11 +1610,23 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
             ad + (plan->a_batch_offset[b0] + i0 * plan->rs_a) * aes, adt,
             plan->rs_a, plan->cs_a, bdt, plan->rs_b, plan->cs_b,
             slices.data(), b1 - b0, n, 1, /*accumulate=*/false);
+        if (bias_row == nullptr) return;
+        for (int64_t batch = b0; batch < b1; ++batch) {
+          for (int64_t r = 0; r < rows; ++r) {
+            float* row = out + (batch * m + i0 + r) * n;
+            if (vk != nullptr) {
+              vk->add(row, bias_row, row, n);
+            } else {
+              for (int64_t j = 0; j < n; ++j) row[j] = row[j] + bias_row[j];
+            }
+          }
+        }
       });
 
   if (result->requires_grad) {
-    result->grad_fn = std::make_shared<MatMulNode>(a.impl(), b.impl(),
-                                                   std::move(plan));
+    result->grad_fn = std::make_shared<MatMulNode>(
+        a.impl(), b.impl(), bias.defined() ? bias.impl() : nullptr,
+        std::move(plan));
   }
   return Tensor(std::move(result));
 }

@@ -121,6 +121,11 @@ Tensor Min(const Tensor& x, int dim, bool keepdim = false);
 // serving path (widened to fp32 inside the GEMM packing; the result is
 // always fp32); recording through a bf16 operand is a checked error.
 Tensor MatMul(const Tensor& a, const Tensor& b);
+// a @ b + bias, with `bias` an [n] added to every output row in the same
+// pass that writes the GEMM's output (Linear's bias). Values and every
+// gradient are bitwise those of Add(MatMul(a, b), bias). A bf16 bias
+// (serving) is widened by WidenToF32.
+Tensor MatMul(const Tensor& a, const Tensor& b, const Tensor& bias);
 
 // ---- Dtype conversion ----------------------------------------------------------
 
@@ -175,13 +180,15 @@ void ReluInPlace(Tensor x);
 namespace internal {
 
 // The numerically stable logistic function exactly as Sigmoid computes it:
-// one libm call (with errno-setting math the compiler cannot merge two
-// calls to std::exp(v)). Fused nodes that apply a sigmoid call this so
-// their bits match the op's.
+// e = exp(-|v|) by one libm call (with errno-setting math the compiler
+// cannot merge two calls to std::exp), then 1 / (1 + e) for v >= 0 and
+// e / (1 + e) otherwise (NaN compares false and takes that arm). The sign
+// only selects operands, so the compiler emits no data-dependent branch.
+// Fused nodes that apply a sigmoid call this so their bits match the op's.
 inline float Logistic(float v) {
-  if (v >= 0.0f) return 1.0f / (1.0f + std::exp(-v));
-  const float e = std::exp(v);
-  return e / (1.0f + e);
+  const bool nonneg = v >= 0.0f;
+  const float e = std::exp(nonneg ? -v : v);
+  return (nonneg ? 1.0f : e) / (1.0f + e);
 }
 
 // The b-gradient of MatMul(a, b) without a recorded node: b.grad += aᵀ @ dC

@@ -410,8 +410,11 @@ bool SoftmaxRowK(const float* x, float* y, int64_t n) {
   if (_mm256_movemask_ps(bad) != 0) return false;
 
   // Pass 2: e = exp(x - m) into y, accumulating the denominator in
-  // lane-split doubles. The final partial block is padded with -inf-like
-  // sentinels that exp flushes to 0, so it contributes nothing.
+  // lane-split doubles. The final partial block loads only its valid lanes;
+  // the others hold the row max, so they compute exp(0) = 1, and are then
+  // masked to +0.0, which adds nothing. No padded lane may reach Exp8's
+  // flush clamp: there the result is a denormal, which costs a microcode
+  // assist on every row (DESIGN §10).
   const __m256 mv = _mm256_set1_ps(m);
   __m256d den_lo = _mm256_setzero_pd();
   __m256d den_hi = _mm256_setzero_pd();
@@ -423,14 +426,14 @@ bool SoftmaxRowK(const float* x, float* y, int64_t n) {
     den_hi = _mm256_add_pd(den_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1)));
   }
   if (i < n) {
-    float padded[8];
-    for (int lane = 0; lane < 8; ++lane) {
-      padded[lane] = (i + lane < n) ? x[i + lane] : -std::numeric_limits<float>::max();
-    }
-    float e_out[8];
-    const __m256 e = Exp8(_mm256_sub_ps(_mm256_loadu_ps(padded), mv));
-    _mm256_storeu_ps(e_out, e);
-    for (int lane = 0; i + lane < n; ++lane) y[i + lane] = e_out[lane];
+    const __m256i valid = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int32_t>(n - i)),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256 keep = _mm256_castsi256_ps(valid);
+    const __m256 v =
+        _mm256_blendv_ps(mv, _mm256_maskload_ps(x + i, valid), keep);
+    const __m256 e = _mm256_and_ps(Exp8(_mm256_sub_ps(v, mv)), keep);
+    _mm256_maskstore_ps(y + i, valid, e);
     den_lo = _mm256_add_pd(den_lo, _mm256_cvtps_pd(_mm256_castps256_ps128(e)));
     den_hi = _mm256_add_pd(den_hi, _mm256_cvtps_pd(_mm256_extractf128_ps(e, 1)));
   }

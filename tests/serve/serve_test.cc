@@ -910,6 +910,56 @@ TEST(ForecastServerTest, UnhealthyModelDegradesInsteadOfFailing) {
   EXPECT_FALSE(response.forecast.empty());
 }
 
+TEST(ForecastServerTest, TestPeriodShorterThanADayDegrades) {
+  // Three days of 48 steps leave a 44-step test period, too short for the
+  // daily profiles A_dtw reads. The spec builds no graph instead of
+  // aborting, the load reports it unhealthy although the checkpoint is
+  // fine, and its requests degrade to the historical average.
+  SimulatorConfig sim;
+  sim.name = "serve-short";
+  sim.kind = RegionKind::kHighway;
+  sim.num_sensors = 24;
+  sim.num_days = 3;
+  sim.steps_per_day = 48;
+  sim.area_km = 16.0;
+  sim.seed = 11;
+  const SpatioTemporalDataset dataset = SimulateDataset(sim);
+  const SpaceSplit split = SplitSpace(dataset.coords, SplitAxis::kVertical);
+  const StsmConfig config = Fixture().config;
+  const std::string checkpoint = CheckpointDir().File("short.bin");
+  Rng init_rng(config.seed + 13);
+  ASSERT_TRUE(SaveModule(StModel(config, &init_rng), checkpoint));
+
+  const ModelSpec spec =
+      BuildModelSpec("short", dataset, split, config, checkpoint);
+  EXPECT_EQ(spec.graph, nullptr);
+  EXPECT_FALSE(spec.adj_spatial.defined());
+  EXPECT_FALSE(spec.adj_temporal.defined());
+  EXPECT_EQ(spec.num_nodes, dataset.num_nodes());
+  ModelRegistry registry;
+  EXPECT_FALSE(registry.Load(spec).healthy);
+  ASSERT_NE(registry.Find("short"), nullptr);
+  EXPECT_FALSE(registry.Find("short")->healthy());
+
+  ForecastServer server(&registry, ServerConfig{});
+  ForecastRequest request;
+  request.model = "short";
+  request.regions = split.test;
+  const int n = dataset.num_nodes();
+  request.window.resize(static_cast<size_t>(config.input_length) * n);
+  for (int t = 0; t < config.input_length; ++t) {
+    for (int node = 0; node < n; ++node) {
+      request.window[static_cast<size_t>(t) * n + node] =
+          dataset.series.at(t, node);
+    }
+  }
+  const ForecastResponse response = server.SubmitAndWait(std::move(request));
+  EXPECT_EQ(response.status, Status::kDegraded);
+  EXPECT_EQ(response.message, "model unavailable");
+  EXPECT_EQ(response.forecast.size(),
+            static_cast<size_t>(config.horizon) * split.test.size());
+}
+
 TEST(ForecastServerTest, StopAnswersAllAcceptedRequests) {
   ServeFixture& f = Fixture();
   ForecastServer server(&f.registry, ServerConfig{});
